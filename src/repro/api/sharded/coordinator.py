@@ -366,10 +366,12 @@ class ShardedCoordinator:
         # the real controller reads the same activities and models an
         # unsharded run would show it.  (Replica meters are clock
         # hygiene only; no result reads them.)
-        vms = self.dc.vms
         binding = self._binding
+        if binding is not None and not binding.current(self.dc):
+            self._bind_replica()
+            binding = self._binding
         activities = None
-        if binding is not None and binding.covers(vms):
+        if binding is not None:
             self.dc.sync_meters(now)
             activities = binding.load_hour(t)
         else:
@@ -399,7 +401,7 @@ class ShardedCoordinator:
             if activities is not None:
                 binding.observe(t, activities)
             else:
-                for vm in vms:
+                for vm in self.dc.vms:
                     vm.model.observe(t, vm.current_activity)
         # Hook barrier: a second digest (the hourly engine changes power
         # states between consolidation and its hooks), then the

@@ -66,7 +66,6 @@ class ShardPort:
         self._update_models = True
         self._injector = None
         self._bundles: dict[str, dict] = {}
-        self._population_changed = False
         self._want_state = False
         self._probe: WakingProbe | None = None
 
@@ -165,6 +164,7 @@ class ShardPort:
     def _exchange_body(self, hour_index: int, now: float,
                        consolidation: bool) -> None:
         msg = self._recv()
+        population = self.engine.dc.population_version
         directives = msg[1]  # ("extract", [(vm_name, wake), ...])
         bundles = {name: self._extract(name, wake, now)
                    for name, wake in directives}
@@ -174,7 +174,6 @@ class ShardPort:
         self._bundles = msg[2]
         if len(msg) > 3 and msg[3]:
             self._want_state = True
-        self._population_changed = bool(directives)
         inserted: list = []
         for op in ops:
             self._apply(op, now, inserted)
@@ -187,7 +186,7 @@ class ShardPort:
             # observed on their source shard this tick.
             for vm in inserted:
                 vm.model.observe(hour_index, vm.current_activity)
-        if self._population_changed:
+        if self.engine.dc.population_version != population:
             self.engine.rebind_fleet()
         self._bundles = {}
 
@@ -208,11 +207,7 @@ class ShardPort:
             # Migration-triggered extraction wakes the source first,
             # exactly like the engine's own migration executor.
             engine._force_awake(host)
-        host.sync_meter(now)
-        host.remove_vm(vm)
-        dc._placement.pop(vm_name, None)
-        dc._vm_by_name.pop(vm_name, None)
-        dc._note_detach(vm, host)
+        dc.remove(vm, now)
         bundle: dict = {"vm": pickle_vm(vm)}
         if self._event:
             bundle["stream"] = engine._request_streams._streams.pop(
@@ -274,13 +269,11 @@ class ShardPort:
             dc.place(vm, dc.host(op[2]))
             if self._event:
                 engine._departed_vms.discard(vm.name)
-            self._population_changed = True
         elif kind == "remove":
             vm, _ = dc.find_vm(op[1])
             dc.remove(vm, now)
             if self._event:
                 engine.note_vm_departed(op[1])
-            self._population_changed = True
         elif kind == "power_off":
             dc.host(op[1]).power_off(now)
         elif kind == "power_on":
@@ -320,7 +313,6 @@ class ShardPort:
             destination=dest_name, duration_s=duration))
         self._install_sidecars(vm, bundle)
         inserted.append(vm)
-        self._population_changed = True
 
     def _install_sidecars(self, vm, bundle: dict) -> None:
         if not self._event:
@@ -339,44 +331,27 @@ class ShardPort:
     def _apply_bulk(self, moves: list[dict], now: float,
                     inserted: list) -> None:
         """Relocate-all block: the shard's slice of a global
-        re-assignment, mirroring ``DataCenter.apply_assignment`` —
-        detach every locally moving VM first (swap-safe), then attach
-        in global move order."""
+        re-assignment through ``DataCenter.apply_moves`` (local VMs
+        detach first, swap-safe; VMs shipped from other shards arrive;
+        all attach in global move order)."""
         engine = self.engine
         dc = engine.dc
-        dc.sync_meters(now)
-        local: dict[str, object] = {}
+        batch = []
+        arrivals = []
         for mv in moves:
             name = mv["vm_name"]
-            if name not in self._bundles:
-                vm, src = dc.find_vm(name)
-                src.remove_vm(vm)
-                dc._placement.pop(name, None)
-                dc._note_detach(vm, src)
-                local[name] = vm
-        records = []
-        for mv in moves:
-            name = mv["vm_name"]
-            dest = dc.host(mv["destination"])
-            vm = local.get(name)
-            bundle = None
-            if vm is None:
-                bundle = self._bundles.pop(name)
+            bundle = self._bundles.pop(name, None)
+            if bundle is None:
+                vm, _ = dc.find_vm(name)
+            else:
                 vm = unpickle_vm(bundle["vm"])
-            dest.add_vm(vm)
-            dc._placement[name] = dest
-            dc._vm_by_name[name] = vm
-            dc._note_attach(vm, dest)
-            vm.migrations += 1
-            record = MigrationRecord(
+                arrivals.append((vm, bundle))
+            batch.append((vm, dc.host(mv["destination"]), MigrationRecord(
                 time=mv["time"], vm_name=name, source=mv["source"],
-                destination=mv["destination"], duration_s=mv["duration_s"])
-            dc.migrations.append(record)
-            records.append(record)
-            if bundle is not None:
-                self._install_sidecars(vm, bundle)
-                inserted.append(vm)
-                self._population_changed = True
-        dc.check_invariants()
+                destination=mv["destination"], duration_s=mv["duration_s"])))
+        records = dc.apply_moves(batch, now)
+        for vm, bundle in arrivals:
+            self._install_sidecars(vm, bundle)
+            inserted.append(vm)
         if self._event:
             engine._refresh_waking_after_bulk(records)

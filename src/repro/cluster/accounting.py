@@ -7,9 +7,9 @@ SLATAH), ``all_vms_idle`` (suspend checks) and ``mean_raw_ip`` (grace
 windows, IP-aware placement).  :class:`HostAccounting` derives all of
 them for every host at once from the fleet binding's columnar state plus
 a placement incidence structure kept in sync by the
-:class:`~repro.cluster.datacenter.DataCenter` placement index —
-migrations, placements and removals update it incrementally through the
-data center's notification hooks.
+:class:`~repro.cluster.datacenter.DataCenter`, the only writer of
+placement — its attach/detach pair notifies every migration, placement
+and removal incrementally, so the rows never need a rescan.
 
 Bit-for-bit equivalence with the scalar :class:`~repro.cluster.host.Host`
 properties is a hard requirement (the scalar per-host property loop is
@@ -61,12 +61,20 @@ class HostAccounting:
         # Same float expression as the scalar SLATAH check's
         # ``host.capacity.cpus * 0.999`` per host.
         self._overload_cpus = self._cap_cpus * 0.999
-        #: Host-local fleet-index rows, mirroring each ``host.vms`` list
+        #: Host-local fleet-index rows, mirroring each ``host.vms``
         #: (same VMs, same order).  This is the placement incidence
         #: structure; :meth:`incidence_matrix` materializes it as the
-        #: classic 0/1 ``(n_hosts, n_vms)`` matrix.
-        self._rows: list[list[int]] = [[] for _ in self.hosts]
-        self._stale = False
+        #: classic 0/1 ``(n_hosts, n_vms)`` matrix.  Built once here
+        #: from host membership, then kept by the data center's
+        #: attach/detach notifications (:meth:`on_place`/:meth:`on_remove`).
+        index = binding.index
+        rows = [[index.get(vm.name) for vm in h.vms] for h in self.hosts]
+        #: A placed VM outside the binding leaves the view stale for
+        #: good; the next rebind builds a fresh one
+        #: (``FleetBinding._sync_accounting``).
+        self._stale = any(None in row for row in rows)
+        self._rows: list[list[int]] = (
+            [[] for _ in self.hosts] if self._stale else rows)
         #: Monotonic placement epoch; every placement change bumps it
         #: and invalidates the derived caches.
         self.epoch = 0
@@ -75,16 +83,16 @@ class HostAccounting:
         self._hour_cache: dict = {}
         self._ip_cache: dict = {}
         self._blocked_cache: tuple | None = None
-        self.resync()
 
     # ------------------------------------------------------------------
-    # synchronization with the DataCenter placement index
+    # synchronization with the DataCenter's placement writes
     # ------------------------------------------------------------------
     @property
     def valid(self) -> bool:
         """Usable for columnar queries?  False after an unknown VM or a
         host-set change appeared — consumers then fall back to the
-        scalar per-host path until the simulators rebind."""
+        scalar per-host path until the simulators rebind, which
+        replaces an invalid view with a fresh one."""
         return (not self._stale and self.dc.hosts is self._host_list
                 and len(self.dc.hosts) == self.n_hosts)
 
@@ -101,59 +109,26 @@ class HostAccounting:
         """Like :meth:`pos` by name; ``None`` for unknown hosts."""
         return self._pos.get(host_name)
 
-    def _index_of(self, vm_name: str) -> int | None:
-        idx = self.binding.index.get(vm_name)
-        if idx is None:
-            self._stale = True
-        return idx
-
     def on_place(self, vm_name: str, host) -> None:
         """Incremental hook: ``vm_name`` was attached to ``host``."""
-        idx = self._index_of(vm_name)
+        idx = self.binding.index.get(vm_name)
         pos = self._pos.get(host.name)
         if idx is None or pos is None:
             self._stale = True
-            return
-        self._rows[pos].append(idx)
-        self._bump()
+        elif not self._stale:
+            self._rows[pos].append(idx)
+            self._bump()
 
     def on_remove(self, vm_name: str, host) -> None:
-        """Incremental hook: ``vm_name`` was detached from ``host``."""
-        idx = self._index_of(vm_name)
+        """Incremental hook: ``vm_name`` was detached from ``host``.
+        While the view is valid its rows mirror membership exactly (the
+        data center is the only writer), so the index is in the row."""
+        idx = self.binding.index.get(vm_name)
         pos = self._pos.get(host.name)
         if idx is None or pos is None:
             self._stale = True
-            return
-        try:
+        elif not self._stale:
             self._rows[pos].remove(idx)
-        except ValueError:
-            self._stale = True
-            return
-        self._bump()
-
-    def resync(self) -> None:
-        """Rebuild the incidence rows from actual host membership.
-
-        Called by :meth:`DataCenter.check_invariants` so code that wires
-        ``host.vms`` directly converges back to a consistent view, like
-        the O(1) placement index does.  A successful rebuild also clears
-        staleness: once every placed VM resolves in the binding again
-        (e.g. an out-of-binding VM arrived and has since departed), the
-        columnar view recovers instead of staying disabled forever."""
-        index = self.binding.index
-        rows: list[list[int]] = []
-        for host in self.hosts:
-            row = []
-            for vm in host.vms:
-                idx = index.get(vm.name)
-                if idx is None:
-                    self._stale = True
-                    return
-                row.append(idx)
-            rows.append(row)
-        self._stale = False
-        if rows != self._rows:
-            self._rows = rows
             self._bump()
 
     def _bump(self) -> None:

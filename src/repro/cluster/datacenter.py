@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.params import DEFAULT_PARAMS, DrowsyParams
-from .host import Host
+from .host import Host, _without
 from .migration import MigrationModel, MigrationRecord
+from .resources import ResourceSpec
 from .vm import VM
 
 
@@ -34,16 +35,12 @@ class DataCenter:
         if len(set(names)) != len(names):
             raise PlacementError("duplicate host names")
         self._host_by_name = {h.name: h for h in self.hosts}
-        for host in self.hosts:
-            host._dc = self
-        #: Placement index (vm name -> host), maintained by every
-        #: placement-changing operation so :meth:`host_of` is O(1) on the
-        #: migration and request paths instead of an O(hosts x vms) scan.
+        #: Placement index (vm name -> host) and VM registry (vm name ->
+        #: VM): O(1) :meth:`host_of` / :meth:`find_vm` on the migration
+        #: and request paths.  Registered hosts refuse direct writes, so
+        #: :meth:`_attach`/:meth:`_detach` keep both exact (DESIGN.md §7).
         self._placement: dict[str, Host] = {
             vm.name: host for host in self.hosts for vm in host.vms}
-        #: VM registry (vm name -> VM), the other half of the O(1)
-        #: request path (:meth:`find_vm`); kept in lockstep with the
-        #: placement index.
         self._vm_by_name: dict[str, VM] = {
             vm.name: vm for host in self.hosts for vm in host.vms}
         #: Wake-path index (MAC -> host): WoL delivery is per-packet, so
@@ -52,17 +49,34 @@ class DataCenter:
         self.host_by_mac: dict[str, Host] = {
             h.mac_address: h for h in self.hosts}
         #: Columnar host accounting (attached by the fleet binding, see
-        #: :mod:`repro.cluster.accounting`).  Placement-changing
-        #: operations notify it incrementally so its incidence rows
-        #: track host membership without rescans.
+        #: :mod:`repro.cluster.accounting`), notified of every attach and
+        #: detach so its incidence rows track host membership.
         self._accounting = None
+        #: Bumped by every change of the placed-VM set (:meth:`place`,
+        #: :meth:`remove`, arrivals in :meth:`apply_moves`); migrations
+        #: leave it alone.  The simulators rebind their columnar fleet
+        #: binding when it moves instead of rescanning the VMs each hour.
+        self.population_version = 0
+        # Hosts wired before construction (Host.add_vm) are validated
+        # here: a VM on two hosts or an overfull host is refused.
+        self.check_invariants()
+        for host in self.hosts:
+            host._dc = self
 
     # ------------------------------------------------------------------
-    def _note_attach(self, vm: VM, host: Host) -> None:
+    # the single writer of placement
+    # ------------------------------------------------------------------
+    def _attach(self, vm: VM, host: Host) -> None:
+        host._vms += (vm,)
+        self._placement[vm.name] = host
+        self._vm_by_name[vm.name] = vm
         if self._accounting is not None:
             self._accounting.on_place(vm.name, host)
 
-    def _note_detach(self, vm: VM, host: Host) -> None:
+    def _detach(self, vm: VM, host: Host) -> None:
+        host._vms = _without(host._vms, vm)
+        del self._placement[vm.name]
+        del self._vm_by_name[vm.name]
         if self._accounting is not None:
             self._accounting.on_remove(vm.name, host)
 
@@ -74,16 +88,9 @@ class DataCenter:
 
     def host_of(self, vm: VM) -> Host:
         host = self._placement.get(vm.name)
-        if host is not None and vm in host.vms:
-            return host
-        # Index miss or staleness (e.g. tests wiring host.vms directly):
-        # fall back to the scan once and repair the index.
-        for host in self.hosts:
-            if vm in host.vms:
-                self._placement[vm.name] = host
-                return host
-        self._placement.pop(vm.name, None)
-        raise PlacementError(f"{vm.name} is not placed")
+        if host is None or self._vm_by_name[vm.name] is not vm:
+            raise PlacementError(f"{vm.name} is not placed")
+        return host
 
     def host(self, name: str) -> Host:
         try:
@@ -95,42 +102,23 @@ class DataCenter:
         """O(1) ``(vm, host)`` lookup by VM name (the per-packet path).
 
         Raises ``KeyError`` for unknown VMs (the request path's
-        contract).  Index misses — a VM wired onto ``host.vms`` directly
-        by tests — fall back to one scan that repairs the registry, like
-        :meth:`host_of` does for the placement index.
+        contract).
         """
         vm = self._vm_by_name.get(vm_name)
-        if vm is not None:
-            host = self._placement.get(vm_name)
-            if host is not None and vm in host.vms:
-                return vm, host
-        for host in self.hosts:
-            for vm in host.vms:
-                if vm.name == vm_name:
-                    self._vm_by_name[vm_name] = vm
-                    self._placement[vm_name] = host
-                    return vm, host
-        self._vm_by_name.pop(vm_name, None)
-        raise KeyError(f"unknown VM {vm_name}")
+        if vm is None:
+            raise KeyError(f"unknown VM {vm_name}")
+        return vm, self._placement[vm_name]
 
     # ------------------------------------------------------------------
     def place(self, vm: VM, host: Host) -> None:
         """Initial placement of an unplaced VM."""
         current = self._placement.get(vm.name)
-        if current is not None and vm in current.vms:
+        if current is not None:
             raise PlacementError(f"{vm.name} already placed on {current.name}")
-        # Index miss/stale: scan, so VMs wired onto a host directly (the
-        # pattern host_of's repair fallback supports) are still rejected
-        # instead of double-placed.  Placement is a cold path; O(1)
-        # lookups matter on the migration/request paths (host_of).
-        for h in self.hosts:
-            if vm in h.vms:
-                self._placement[vm.name] = h
-                raise PlacementError(f"{vm.name} already placed on {h.name}")
-        host.add_vm(vm)
-        self._placement[vm.name] = host
-        self._vm_by_name[vm.name] = vm
-        self._note_attach(vm, host)
+        if not host.can_host(vm):
+            raise ValueError(f"{vm.name} does not fit on {host.name}")
+        self._attach(vm, host)
+        self.population_version += 1
 
     def migrate(self, vm: VM, destination: Host, now: float) -> MigrationRecord:
         """Move ``vm`` to ``destination``, recording the migration.
@@ -146,11 +134,8 @@ class DataCenter:
         duration = self.migration_model.duration_s(vm)
         source.sync_meter(now)
         destination.sync_meter(now)
-        source.remove_vm(vm)
-        destination.add_vm(vm)
-        self._placement[vm.name] = destination
-        self._note_detach(vm, source)
-        self._note_attach(vm, destination)
+        self._detach(vm, source)
+        self._attach(vm, destination)
         vm.migrations += 1
         record = MigrationRecord(time=now, vm_name=vm.name,
                                  source=source.name,
@@ -164,42 +149,59 @@ class DataCenter:
 
         Used by the periodic-relocation evaluation mode (section VI-A.1),
         where whole groups of VMs swap hosts at once: per-move capacity
-        checking would deadlock on swaps, so VMs are detached first and
-        the *final* state is validated instead.  Only VMs that actually
-        change host are recorded as migrations.
+        checking would deadlock on swaps, so the *final* state is
+        validated instead (see :meth:`apply_moves`).  Only VMs that
+        actually change host are recorded as migrations.
         """
-        vm_by_name = {vm.name: vm for vm in self.vms}
-        moves: list[tuple[VM, Host, Host]] = []
+        moves: list[tuple[VM, Host, MigrationRecord]] = []
         for name, dest in assignment.items():
-            vm = vm_by_name.get(name)
+            vm = self._vm_by_name.get(name)
             if vm is None:
                 raise PlacementError(f"unknown VM {name}")
-            src = self.host_of(vm)
+            src = self._placement[name]
             if src is not dest:
-                moves.append((vm, src, dest))
-        self.sync_meters(now)
-        for vm, src, _ in moves:
-            src.remove_vm(vm)
-            self._placement.pop(vm.name, None)
-            self._note_detach(vm, src)
-        records = []
-        for vm, src, dest in moves:
-            if not dest.can_host(vm):
-                # Roll forward is impossible; surface the planning bug.
+                moves.append((vm, dest, MigrationRecord(
+                    time=now, vm_name=name, source=src.name,
+                    destination=dest.name,
+                    duration_s=self.migration_model.duration_s(vm))))
+        return self.apply_moves(moves, now)
+
+    def apply_moves(self, moves: list[tuple[VM, Host, MigrationRecord]],
+                    now: float) -> list[MigrationRecord]:
+        """Apply ``(vm, destination, record)`` moves all-or-nothing.
+
+        Every placed VM among them is detached first (swap-safe), then
+        all are attached in list order, so host-local VM order follows
+        the move order.  A VM not placed here *arrives* (the sharded
+        backend's cross-shard transfers) and counts as a population
+        change.  Capacity is checked on the final per-host usage before
+        anything is touched: on ``PlacementError`` placement, indexes,
+        accounting, meters and :attr:`migrations` are unchanged.
+        """
+        leaving = [(vm, self._placement.get(vm.name)) for vm, _, _ in moves]
+        load: dict[str, ResourceSpec] = {}
+        for vm, src in leaving:
+            if src is not None:
+                load[src.name] = (load.get(src.name, src.used_resources)
+                                  - vm.resources)
+        for vm, dest, _ in moves:
+            used = load.get(dest.name, dest.used_resources)
+            if not dest.capacity.fits(used, vm.resources):
                 raise PlacementError(
                     f"assignment overfills {dest.name} with {vm.name}")
-            dest.add_vm(vm)
-            self._placement[vm.name] = dest
-            self._note_attach(vm, dest)
+            load[dest.name] = used + vm.resources
+        self.sync_meters(now)
+        for vm, src in leaving:
+            if src is not None:
+                self._detach(vm, src)
+        for vm, dest, record in moves:
+            self._attach(vm, dest)
             vm.migrations += 1
-            record = MigrationRecord(
-                time=now, vm_name=vm.name, source=src.name,
-                destination=dest.name,
-                duration_s=self.migration_model.duration_s(vm))
             self.migrations.append(record)
-            records.append(record)
+        if any(src is None for _, src in leaving):
+            self.population_version += 1
         self.check_invariants()
-        return records
+        return [record for _, _, record in moves]
 
     def evacuate(self, host: Host, now: float,
                  targets: list[Host] | None = None) -> tuple[list[VM], list[VM]]:
@@ -213,7 +215,7 @@ class DataCenter:
             targets = [h for h in self.hosts if h is not host]
         migrated: list[VM] = []
         stranded: list[VM] = []
-        for vm in list(host.vms):
+        for vm in host.vms:
             dest = next((t for t in targets
                          if t is not host and t.can_host(vm)), None)
             if dest is None:
@@ -232,10 +234,8 @@ class DataCenter:
         """
         host = self.host_of(vm)
         host.sync_meter(max(now, host.meter.last_time))
-        host.remove_vm(vm)
-        self._placement.pop(vm.name, None)
-        self._vm_by_name.pop(vm.name, None)
-        self._note_detach(vm, host)
+        self._detach(vm, host)
+        self.population_version += 1
 
     # ------------------------------------------------------------------
     def available_hosts(self) -> list[Host]:
@@ -273,31 +273,30 @@ class DataCenter:
                 vm.current_activity = vm.activity_at(hour_index)
 
     def check_invariants(self) -> None:
-        """Structural sanity: each VM on exactly one host, capacity held.
-
-        The walk also reconciles the O(1) placement index with the real
-        host membership, so code that wires ``host.vms`` directly (tests,
-        failure injection) converges back to a consistent index.
-        """
-        seen: dict[str, Host] = {}
+        """Structural sanity: capacity held, and every VM on exactly the
+        host the placement index names (so none is on two hosts).  A
+        pure assertion: it writes nothing."""
+        placement = self._placement
+        placed = 0
         for host in self.hosts:
+            vms = host.vms
             cpus = 0
             memory_mb = 0
-            for vm in host.vms:
-                cpus += vm.resources.cpus
-                memory_mb += vm.resources.memory_mb
+            for vm in vms:
+                res = vm.resources
+                cpus += res.cpus
+                memory_mb += res.memory_mb
             if memory_mb > host.capacity.memory_mb:
                 raise PlacementError(f"{host.name} over memory capacity")
             if cpus > host.capacity.schedulable_cpus:
                 raise PlacementError(f"{host.name} over CPU capacity")
-            for vm in host.vms:
-                if vm.name in seen:
+            for vm in vms:
+                indexed = placement.get(vm.name)
+                if indexed is not host:
                     raise PlacementError(
-                        f"{vm.name} on both {seen[vm.name].name} and {host.name}")
-                seen[vm.name] = host
-        self._placement = seen
-        self._vm_by_name = {vm.name: vm for host in self.hosts
-                            for vm in host.vms}
-        self.host_by_mac = {h.mac_address: h for h in self.hosts}
-        if self._accounting is not None:
-            self._accounting.resync()
+                        f"{vm.name} on both {host.name} and {indexed.name}"
+                        if indexed is not None and vm in indexed.vms
+                        else f"{vm.name} on {host.name} is not indexed there")
+            placed += len(vms)
+        if placed != len(placement):
+            raise PlacementError("placement index names VMs no host holds")

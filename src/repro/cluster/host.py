@@ -32,6 +32,12 @@ def _default_mac(name: str) -> str:
     return f"52:54:00:{h[0:2]}:{h[2:4]}:{h[4:6]}"
 
 
+def _without(vms: tuple[VM, ...], vm: VM) -> tuple[VM, ...]:
+    """``vms`` minus ``vm`` (order kept); ``ValueError`` if absent."""
+    i = vms.index(vm)
+    return vms[:i] + vms[i + 1:]
+
+
 @dataclass(frozen=True)
 class Transition:
     """One recorded power-state change (for oscillation analysis)."""
@@ -59,7 +65,7 @@ class Host:
         #: lets leaf policies reach the columnar host accounting.
         self._dc = None
         self.mac_address = mac_address or _default_mac(name)
-        self.vms: list[VM] = []
+        self._vms: tuple[VM, ...] = ()
         self.state = PowerState.ON
         self.meter = EnergyMeter(power_model or PowerModel.from_params(params))
         self.transitions: list[Transition] = []
@@ -75,6 +81,11 @@ class Host:
     # resources
     # ------------------------------------------------------------------
     @property
+    def vms(self) -> tuple[VM, ...]:
+        """Hosted VMs in placement order (read-only: see :meth:`add_vm`)."""
+        return self._vms
+
+    @property
     def used_resources(self) -> ResourceSpec:
         return ResourceSpec(
             cpus=sum(vm.resources.cpus for vm in self.vms),
@@ -87,14 +98,29 @@ class Host:
                 and used.memory_mb + vm.resources.memory_mb <= self.capacity.memory_mb)
 
     def add_vm(self, vm: VM) -> None:
-        if vm in self.vms:
+        """Wire ``vm`` onto a host not yet registered with a DataCenter.
+
+        Once registered, the data center is the only writer of
+        placement (DESIGN.md §7): use ``DataCenter.place``/``migrate``.
+        """
+        self._check_unowned()
+        if vm in self._vms:
             raise ValueError(f"{vm.name} already on {self.name}")
         if not self.can_host(vm):
             raise ValueError(f"{vm.name} does not fit on {self.name}")
-        self.vms.append(vm)
+        self._vms += (vm,)
 
     def remove_vm(self, vm: VM) -> None:
-        self.vms.remove(vm)
+        """Unwire ``vm`` from an unregistered host (see :meth:`add_vm`)."""
+        self._check_unowned()
+        self._vms = _without(self._vms, vm)
+
+    def _check_unowned(self) -> None:
+        if self._dc is not None:
+            from .datacenter import PlacementError
+
+            raise PlacementError(
+                f"{self.name} belongs to a DataCenter, which owns its placement")
 
     # ------------------------------------------------------------------
     # load / idleness

@@ -112,15 +112,12 @@ class GlobalManager:
         self.dc = dc
         self.placer = placer or PowerAwareBestFitDecreasing()
 
-    def _vm_by_name(self) -> dict[str, VM]:
-        return {vm.name: vm for vm in self.dc.vms}
-
     def step(self, reports: list[LocalManagerReport], hour_index: int,
              now: float, executor: MigrationExecutor) -> int:
         """Resolve one round of reports.  Overloads first (QoS), then
         underload evacuations least-utilized first, skipping hosts that
         just received VMs (the monolithic controller's ping-pong guard)."""
-        vm_by_name = self._vm_by_name()
+        find_vm = self.dc.find_vm
         by_name = {h.name: h for h in self.dc.hosts}
         moved = 0
 
@@ -130,7 +127,7 @@ class GlobalManager:
         sources: dict[str, Host] = {}
         for r in overloaded:
             for name in r.migration_candidates:
-                vm = vm_by_name[name]
+                vm, _ = find_vm(name)
                 to_place.append(vm)
                 sources[name] = by_name[r.host_name]
         targets = [h for h in self.dc.hosts
@@ -159,8 +156,7 @@ class GlobalManager:
             host = by_name[r.host_name]
             if host.name in receivers or not host.vms:
                 continue
-            vms = [vm_by_name[n] for n in r.migration_candidates
-                   if n in vm_by_name]
+            vms = [find_vm(n)[0] for n in r.migration_candidates]
             targets = [h for h in self.dc.hosts
                        if h.state in MANAGED_STATES and h is not host]
             current = {vm.name: host for vm in vms}

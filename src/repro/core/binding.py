@@ -175,6 +175,9 @@ class FleetBinding:
         #: Columnar per-host accounting attached by :meth:`try_bind`
         #: (see :mod:`repro.cluster.accounting`).
         self.accounting = None
+        #: ``dc.population_version`` when :meth:`try_bind` last
+        #: confirmed this binding covers the placed VMs.
+        self._population = -1
 
     # ------------------------------------------------------------------
     @classmethod
@@ -194,22 +197,28 @@ class FleetBinding:
         columnar-ly; ``accounting=False`` detaches it, leaving every
         consumer on the scalar per-host properties.
         """
-        existing = getattr(dc, "_fleet_binding", None)
+        binding = getattr(dc, "_fleet_binding", None)
         vms = dc.vms
-        if existing is not None and existing.covers(vms):
-            existing._sync_accounting(dc, accounting)
-            return existing
-        if not vms:
-            return None
-        for vm in vms:
-            if type(vm.model) not in (IdlenessModel, FleetVMView):
+        if binding is None or not binding.covers(vms):
+            if not vms:
                 return None
-            if vm.model.params != params:
-                return None
-        binding = cls(vms, params)
-        dc._fleet_binding = binding
+            for vm in vms:
+                if type(vm.model) not in (IdlenessModel, FleetVMView):
+                    return None
+                if vm.model.params != params:
+                    return None
+            binding = cls(vms, params)
+            dc._fleet_binding = binding
+        binding._population = dc.population_version
         binding._sync_accounting(dc, accounting)
         return binding
+
+    def current(self, dc) -> bool:
+        """O(1): still ``dc``'s binding, with no VM placed or removed
+        since :meth:`try_bind` last confirmed it covers the fleet?
+        (Only ``DataCenter`` changes the population, and it counts.)"""
+        return (getattr(dc, "_fleet_binding", None) is self
+                and self._population == dc.population_version)
 
     def _sync_accounting(self, dc, enabled: bool) -> None:
         """Attach/refresh (or detach) the host-accounting layer."""

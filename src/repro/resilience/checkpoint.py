@@ -41,7 +41,9 @@ from .io import atomic_write_bytes
 log = get_logger("resilience.checkpoint")
 
 #: On-disk format version; bump on any incompatible layout change.
-CHECKPOINT_VERSION = 1
+#: 2: ``Host`` keeps its VMs in a read-only tuple owned by the
+#: DataCenter (a v1 pickle would restore a writable ``vms`` list).
+CHECKPOINT_VERSION = 2
 _MAGIC = "repro-ckpt"
 #: Checkpoint filename suffix (what discovery globs for).
 CHECKPOINT_SUFFIX = ".ckpt"

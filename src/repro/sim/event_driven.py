@@ -238,8 +238,7 @@ class EventDrivenSimulation:
         if n_hours <= 0:
             raise ValueError("n_hours must be positive")
         if self.config.use_fleet_model and (
-                self._binding is None
-                or not self._binding.covers(self.dc.vms)):
+                self._binding is None or not self._binding.current(self.dc)):
             # Rebind so the columnar path survives VM arrivals.
             self._binding = FleetBinding.try_bind(
                 self.dc, self.params, accounting=self._accounting_enabled)
@@ -278,7 +277,8 @@ class EventDrivenSimulation:
         Like :meth:`repro.sim.hourly.HourlySimulator.rebind_fleet`, plus
         the event-specific bits: the cached host classification is
         dropped (it indexes the old accounting view) and the columnar
-        gate reflects whether the fresh binding covers the fleet.
+        gate follows the fresh binding (``try_bind`` only returns one
+        that covers the fleet).
         """
         if not self.config.use_fleet_model:
             return
@@ -287,17 +287,19 @@ class EventDrivenSimulation:
         if self._binding is not None and self._horizon is not None:
             self._binding.ensure_horizon(*self._horizon)
         self._codes_cache = None
-        self._fleet_active = (self._binding is not None
-                              and self._binding.covers(self.dc.vms))
+        self._fleet_active = self._binding is not None
 
     # ------------------------------------------------------------------
     def _hour_tick(self, t: int) -> None:
         now = self.sim.now
         self._current_hour = t
-        vms = self.dc.vms
         binding = self._binding
+        if binding is not None and not binding.current(self.dc):
+            # A place/remove since the last bind (DESIGN.md §7).
+            self.rebind_fleet()
+            binding = self._binding
         activities = None
-        if binding is not None and binding.covers(vms):
+        if binding is not None:
             # Columnar hot path: one matrix-column load (DESIGN.md §6),
             # with the hourly meter charge fed the previous hour's
             # columnar utilizations (DESIGN.md §8).
@@ -332,7 +334,7 @@ class EventDrivenSimulation:
             if activities is not None:
                 binding.observe(t, activities)
             else:
-                for vm in vms:
+                for vm in self.dc.vms:
                     vm.model.observe(t, vm.current_activity)
 
         # Client traffic for interactive VMs active this hour.
@@ -620,8 +622,8 @@ class EventDrivenSimulation:
     # wake path
     # ------------------------------------------------------------------
     def _on_wol(self, packet: WoLPacket, now: float) -> None:
-        # O(1) MAC index (kept consistent by DataCenter.check_invariants)
-        # instead of the old O(hosts) scan per WoL packet.
+        # O(1) MAC index (host MACs are construction-time constants)
+        # instead of an O(hosts) scan per WoL packet.
         host = self.dc.host_by_mac.get(packet.mac_address)
         if host is None:
             return

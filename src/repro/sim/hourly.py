@@ -170,10 +170,9 @@ class HourlySimulator:
         if n_hours <= 0:
             raise ValueError("n_hours must be positive")
         if self.config.use_fleet_model and (
-                self._binding is None
-                or not self._binding.covers(self.dc.vms)):
-            # The fleet may have grown since construction: rebind so the
-            # columnar path survives VM arrivals between runs.
+                self._binding is None or not self._binding.current(self.dc)):
+            # The fleet may have changed since construction: rebind so
+            # the columnar path survives VM arrivals between runs.
             self._binding = FleetBinding.try_bind(
                 self.dc, self.params, accounting=self._accounting_enabled)
         if self._binding is not None:
@@ -207,10 +206,11 @@ class HourlySimulator:
 
         Scenario churn (DESIGN.md §12) places and removes VMs mid-run;
         a newly placed VM carries a scalar model, so the binding no
-        longer covers the fleet and every hour would fall back to the
-        per-VM path.  Churn hooks call this after changing the
-        population: newcomers join fresh fleet rows (existing model
-        state imports bit-exactly) and the horizon matrix is rebuilt.
+        longer covers the fleet.  Churn hooks call this after changing
+        the population, and each hour does when ``dc.population_version``
+        moved since the last bind: newcomers join fresh fleet rows
+        (existing model state imports bit-exactly) and the horizon
+        matrix is rebuilt.
         """
         if not self.config.use_fleet_model:
             return
@@ -223,18 +223,19 @@ class HourlySimulator:
     def _hour(self, t: int) -> None:
         now = time_of_hour(t)
         cfg = self.config
-        # Per-hour invariants, hoisted: the VM population only changes
-        # between hours, never inside the steps below.
-        vms = self.dc.vms
         hosts = self.dc.hosts
 
         # 1. Charge the previous hour, load this hour's activities.
         #    With an active binding the load is one matrix-column read;
-        #    the binding opts out when unbound VMs joined the fleet.
+        #    a place/remove since the last bind triggers a rebind first
+        #    (the VM population only changes between hours).
         binding = self._binding
+        if binding is not None and not binding.current(self.dc):
+            self.rebind_fleet()
+            binding = self._binding
         activities = None
         acc: HostAccounting | None = None
-        if binding is not None and binding.covers(vms):
+        if binding is not None:
             if self._accounting_enabled:
                 acc = columnar_host_view(self.dc)
             # The meter charges [previous sync, now] at the *previous*
@@ -268,7 +269,7 @@ class HourlySimulator:
             if activities is not None:
                 binding.observe(t, activities)
             else:
-                for vm in vms:
+                for vm in self.dc.vms:
                     vm.model.observe(t, vm.current_activity)
 
         # 4. Power-state bookkeeping for the hour.  With an active

@@ -268,9 +268,11 @@ class TestDataCenter:
     def test_check_invariants_detects_overcapacity(self):
         dc = self.make_dc()
         host = dc.host("h0")
-        host.vms.append(make_vm("a"))
-        host.vms.append(make_vm("b"))
-        host.vms.append(make_vm("c"))  # bypass add_vm check
+        dc.place(make_vm("a"), host)
+        dc.place(make_vm("b"), host)
+        # Shrink the host under its placed VMs (4 vCPUs on 2).
+        host.capacity = HostCapacity(cpus=2, memory_mb=16 * 1024,
+                                     cpu_overcommit=1.0)
         with pytest.raises(PlacementError):
             dc.check_invariants()
 
@@ -314,3 +316,95 @@ class TestServiceTimer:
         assert t.next_fire(50.0) == 150.0
         assert t.next_fire(149.0) == 150.0
         assert t.next_fire(151.0) == 250.0
+
+
+class _NoScan(list):
+    """A host list that fails any walk: lookups must not scan hosts."""
+
+    def __iter__(self):
+        raise AssertionError("scanned the host list")
+
+
+class TestSingleWriter:
+    """The DataCenter is the only writer of placement (DESIGN.md §7)."""
+
+    def test_registered_host_vms_are_read_only(self):
+        host = Host("h0")
+        dc = DataCenter([host])
+        vm = make_vm("a")
+        dc.place(vm, host)
+        assert host.vms == (vm,)
+        with pytest.raises(AttributeError):
+            host.vms.append(make_vm("b"))
+        with pytest.raises(AttributeError):
+            host.vms = [vm, make_vm("b")]
+
+    def test_registered_host_refuses_direct_writes(self):
+        h0, h1 = Host("h0"), Host("h1")
+        dc = DataCenter([h0, h1])
+        vm = make_vm("a")
+        dc.place(vm, h0)
+        with pytest.raises(PlacementError):
+            h1.add_vm(make_vm("b"))
+        with pytest.raises(PlacementError):
+            h0.remove_vm(vm)
+        assert h0.vms == (vm,) and h1.vms == ()
+        assert dc.host_of(vm) is h0
+
+    def test_unregistered_host_wiring(self):
+        host = Host("h0")
+        a, b = make_vm("a"), make_vm("b")
+        host.add_vm(a)
+        host.add_vm(b)
+        host.remove_vm(a)
+        assert host.vms == (b,)
+        with pytest.raises(ValueError):
+            host.remove_vm(a)
+        dc = DataCenter([host])
+        assert dc.find_vm("b") == (b, host)
+        with pytest.raises(PlacementError):
+            host.add_vm(a)
+
+    def test_construction_rejects_vm_on_two_hosts(self):
+        h0, h1 = Host("h0"), Host("h1")
+        vm = make_vm("twice")
+        h0.add_vm(vm)
+        h1.add_vm(vm)
+        with pytest.raises(PlacementError):
+            DataCenter([h0, h1])
+
+    def test_construction_rejects_overfull_host(self):
+        host = Host("h0")
+        host.add_vm(make_vm("a"))
+        host.add_vm(make_vm("b"))
+        host.capacity = HostCapacity(cpus=2, memory_mb=16 * 1024,
+                                     cpu_overcommit=1.0)
+        with pytest.raises(PlacementError):
+            DataCenter([host])
+
+    def test_lookups_never_scan_hosts(self):
+        dc = DataCenter([Host("h0"), Host("h1")])
+        vm = make_vm("a")
+        dc.place(vm, dc.host("h1"))
+        dc.hosts = _NoScan(dc.hosts)
+        assert dc.host_of(vm).name == "h1"
+        assert dc.find_vm("a") == (vm, dc.host("h1"))
+        with pytest.raises(PlacementError):
+            dc.host_of(make_vm("ghost"))
+        with pytest.raises(KeyError):
+            dc.find_vm("ghost")
+        with pytest.raises(PlacementError):
+            dc.place(vm, dc.host("h0"))
+        dc.place(make_vm("b"), dc.host("h0"))
+
+    def test_population_version_counts_place_and_remove(self):
+        dc = DataCenter([Host("h0"), Host("h1")])
+        a = make_vm("a")
+        v0 = dc.population_version
+        dc.place(a, dc.host("h0"))
+        assert dc.population_version == v0 + 1
+        dc.migrate(a, dc.host("h1"), now=1.0)
+        dc.apply_assignment({"a": dc.host("h0")}, now=2.0)
+        assert dc.population_version == v0 + 1
+        dc.remove(a, now=3.0)
+        assert dc.population_version == v0 + 2

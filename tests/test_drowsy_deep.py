@@ -125,7 +125,7 @@ class TestRelocateAllDeep:
         h2.power_off(0.0)
         ctrl = DrowsyController(dc)
         ctrl.relocate_all(HOUR, now=1.0)
-        assert h2.vms == []
+        assert not h2.vms
         assert h2.state is PowerState.OFF
 
 

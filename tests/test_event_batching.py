@@ -13,7 +13,7 @@ request substreams.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import Host, VM
+from repro.cluster import Host
 from repro.cluster.events import EventSimulator
 from repro.consolidation.drowsy import DrowsyController
 from repro.core.binding import FleetBinding
@@ -315,23 +315,18 @@ class TestIndexes:
         dc.check_invariants()
         assert len(dc.host_by_mac) == len(dc.hosts)
 
-    def test_find_vm_o1_and_repair(self):
+    def test_find_vm_o1(self):
         dc = build_fleet(n_hosts=2, n_vms=4, llmi_fraction=0.5,
                          hours=24, seed=5)
         vm = dc.vms[0]
         found, host = dc.find_vm(vm.name)
         assert found is vm and host is dc.host_of(vm)
-        # Wire a VM onto a host directly (bypassing place): the lookup
-        # repairs itself via the scan fallback.
-        rogue = VM("rogue", vm.trace, vm.resources, params=DEFAULT_PARAMS)
-        dc.hosts[1].vms.append(rogue)
-        found, host = dc.find_vm("rogue")
-        assert found is rogue and host is dc.hosts[1]
-        dc.hosts[1].vms.remove(rogue)
-        with pytest.raises(KeyError):
-            dc.find_vm("rogue")
         with pytest.raises(KeyError):
             dc.find_vm("never-existed")
+        # A removed VM leaves the index with it.
+        dc.remove(vm, now=0.0)
+        with pytest.raises(KeyError):
+            dc.find_vm(vm.name)
 
     def test_wol_uses_index(self):
         sim, dc = _build()
@@ -364,7 +359,11 @@ class TestPerVMStreams:
                              hours=24, seed=13)
             if reverse:
                 for host in dc.hosts:
-                    host.vms.reverse()
+                    vms = host.vms
+                    for vm in vms:
+                        dc.remove(vm, now=0.0)
+                    for vm in reversed(vms):
+                        dc.place(vm, host)
                 dc.check_invariants()
             sim = EventDrivenSimulation(
                 dc, DrowsyController(dc),

@@ -243,6 +243,86 @@ class TestFleetVMView:
                                           ref[vm.name].weights)
 
 
+class TestPopulationRebind:
+    """Engines detect population changes through the data center's
+    population version, not by rescanning the VMs every hour."""
+
+    @staticmethod
+    def _engine(backend, use_fleet, hooks=()):
+        dc = build_fleet(n_hosts=4, n_vms=12, llmi_fraction=0.5, hours=48)
+        if backend == "hourly":
+            return HourlySimulator(
+                dc, DrowsyController(dc), hour_hooks=hooks,
+                config=HourlyConfig(use_fleet_model=use_fleet)), dc
+        return EventDrivenSimulation(
+            dc, DrowsyController(dc), hour_hooks=hooks,
+            config=EventConfig(use_fleet_model=use_fleet)), dc
+
+    @staticmethod
+    def _count_covers(monkeypatch) -> list:
+        calls = []
+        covers = FleetBinding.covers
+
+        def counting(self, vms):
+            calls.append(len(vms))
+            return covers(self, vms)
+
+        monkeypatch.setattr(FleetBinding, "covers", counting)
+        return calls
+
+    @pytest.mark.parametrize("backend", ["hourly", "event"])
+    def test_no_per_hour_population_scan(self, backend, monkeypatch):
+        sim, _ = self._engine(backend, use_fleet=True)
+        calls = self._count_covers(monkeypatch)
+        sim.run(24)
+        assert calls == []
+
+    @pytest.mark.parametrize("backend", ["hourly", "event"])
+    def test_unannounced_arrival_rebinds_next_hour(self, backend,
+                                                   monkeypatch):
+        """A VM placed by a hook that never calls rebind_fleet joins the
+        columnar fleet at the next hour, and the run still equals the
+        scalar oracle."""
+        def run(use_fleet):
+            def arrive(t, now):
+                if t == 10:
+                    vm = VM("late", llmu_trace(hours=48, seed=9),
+                            TESTBED_VM)
+                    dc.place(vm, next(h for h in dc.hosts
+                                      if h.can_host(vm)))
+            sim, dc = self._engine(backend, use_fleet, hooks=(arrive,))
+            return sim, dc, sim.run(24)
+
+        _, _, scalar = run(False)
+        calls = self._count_covers(monkeypatch)
+        sim, dc, fleet = run(True)
+        assert len(calls) == 1  # one try_bind, at hour 11
+        assert all(type(vm.model) is FleetVMView for vm in dc.vms)
+        assert sim._binding.current(dc)
+        assert scalar.total_energy_kwh == fleet.total_energy_kwh
+        assert scalar.suspend_cycles_by_host == fleet.suspend_cycles_by_host
+        assert scalar.migrations == fleet.migrations
+        assert scalar.vm_migrations == fleet.vm_migrations
+
+    def test_current_tracks_place_and_remove_only(self):
+        dc = _make_dc(2)
+        a, b = _vm("a"), _vm("b")
+        dc.place(a, dc.hosts[0])
+        binding = FleetBinding.try_bind(dc, DEFAULT_PARAMS)
+        assert binding.current(dc)
+        dc.migrate(a, dc.hosts[1], now=1.0)
+        assert binding.current(dc)
+        dc.place(b, dc.hosts[0])
+        assert not binding.current(dc)
+        rebound = FleetBinding.try_bind(dc, DEFAULT_PARAMS)
+        assert rebound.current(dc) and not binding.current(dc)
+        dc.remove(b, now=2.0)
+        assert not rebound.current(dc)
+        # Removal keeps the binding covering: try_bind reuses it.
+        assert FleetBinding.try_bind(dc, DEFAULT_PARAMS) is rebound
+        assert rebound.current(dc)
+
+
 class TestActivityMatrix:
     def test_matches_scalar_activity(self):
         traces = [daily_backup_trace(days=2),
@@ -332,49 +412,58 @@ class TestPlacementIndex:
             dc.check_invariants()
 
     def test_place_rejects_directly_wired_vm(self):
-        """A VM appended to host.vms behind the DC's back must not be
-        double-placed through dc.place (index miss falls back to scan)."""
-        dc = _make_dc(2)
+        """A VM wired onto a host before the DataCenter is built
+        (Host.add_vm on an unregistered host) is indexed at
+        construction, so dc.place cannot double-place it."""
+        hosts = [Host("h0"), Host("h1")]
         vm = _vm("wired")
-        dc.hosts[0].vms.append(vm)
+        hosts[0].add_vm(vm)
+        dc = DataCenter(hosts)
         with pytest.raises(PlacementError):
             dc.place(vm, dc.hosts[1])
         assert sum(vm in h.vms for h in dc.hosts) == 1
 
     def test_host_of_survives_direct_wiring(self):
-        """Tests that append to host.vms directly still resolve."""
-        dc = _make_dc(2)
+        """Hosts wired directly before construction resolve through
+        the index built by the DataCenter, like placed ones."""
+        hosts = [Host("h0"), Host("h1")]
         vm = _vm("direct")
-        dc.hosts[1].vms.append(vm)
+        hosts[1].add_vm(vm)
+        dc = DataCenter(hosts)
         assert dc.host_of(vm) is dc.hosts[1]
-        # Index repaired: second lookup is a pure dict hit.
-        assert dc._placement[vm.name] is dc.hosts[1]
+        assert dc.find_vm("direct") == (vm, dc.hosts[1])
 
     def test_host_of_unplaced_raises(self):
         dc = _make_dc(2)
         with pytest.raises(PlacementError):
             dc.host_of(_vm("ghost"))
 
-    def test_stale_index_entry_repaired_after_manual_move(self):
-        dc = _make_dc(2)
-        vm = _vm("mover")
-        dc.place(vm, dc.hosts[0])
-        # Move behind the data center's back.
-        dc.hosts[0].vms.remove(vm)
-        dc.hosts[1].vms.append(vm)
-        assert dc.host_of(vm) is dc.hosts[1]
-
-    def test_apply_assignment_failure_leaves_detached_vm_unindexed(self):
+    def test_apply_assignment_failure_changes_nothing(self):
+        """All-or-nothing: an overfilling assignment is refused before
+        any VM is detached — placement, indexes, accounting rows,
+        meters and the migration log are untouched."""
         dc = _make_dc(3)
         a, b, c = _vm("a"), _vm("b"), _vm("c")
         dc.place(a, dc.hosts[0])
         dc.place(b, dc.hosts[1])
         dc.place(c, dc.hosts[2])
+        binding = FleetBinding.try_bind(dc, DEFAULT_PARAMS)
+        acc = binding.accounting
+        rows = [list(r) for r in acc._rows]
+        epoch = acc.epoch
+        meters = [h.meter.last_time for h in dc.hosts]
+        before = [h.vms for h in dc.hosts]
         with pytest.raises(PlacementError):
             dc.apply_assignment(
                 {"a": dc.hosts[2], "b": dc.hosts[2]}, now=1.0)
-        # Whichever VM failed to re-attach is reported unplaced.
-        unplaced = [vm for vm in (a, b) if _scan_host_of(dc, vm) is None]
-        for vm in unplaced:
-            with pytest.raises(PlacementError):
-                dc.host_of(vm)
+        assert [h.vms for h in dc.hosts] == before
+        for vm, host in ((a, dc.hosts[0]), (b, dc.hosts[1]),
+                         (c, dc.hosts[2])):
+            assert dc.host_of(vm) is host
+            assert dc.find_vm(vm.name) == (vm, host)
+        assert acc._rows == rows and acc.epoch == epoch
+        acc.verify()
+        assert [h.meter.last_time for h in dc.hosts] == meters
+        assert dc.migrations == []
+        assert a.migrations == b.migrations == 0
+        dc.check_invariants()

@@ -130,19 +130,22 @@ class TestColumnarParityProperties:
             acc = columnar_host_view(dc)
             if acc is None:
                 # An arrival outside the binding marks the accounting
-                # stale.  The simulators recover through the controller
-                # check_invariants resync (same-fleet membership) or a
-                # rebind at the next tick (grown fleet) — mirror that:
-                dc.check_invariants()
-                if binding.covers(dc.vms):
-                    acc = columnar_host_view(dc)
-                    assert acc is not None
-                else:
-                    continue
+                # stale.  The simulators recover by rebinding once the
+                # population version moved — mirror that.  A grown
+                # fleet's newcomers have no loaded activity until the
+                # next tick, so parity waits for it.
+                assert not binding.current(dc)
+                rebound = FleetBinding.try_bind(dc, params)
+                acc = columnar_host_view(dc)
+                assert acc is not None
+                if rebound is not binding:
+                    binding = rebound
+                    loaded = False
             if loaded and binding.covers(dc.vms):
                 _assert_host_parity(dc, acc, max(hour - 1, 0))
 
-        # Final resync path: the walk must agree with membership too.
+        # check_invariants is a pure assertion; the incrementally kept
+        # rows must agree with membership on their own.
         dc.check_invariants()
         acc = columnar_host_view(dc)
         if acc is not None:
@@ -246,6 +249,14 @@ class TestHostAccountingUnit:
         dc.place(newcomer, dc.hosts[0])
         assert not acc.valid
         assert columnar_host_view(dc) is None
+        # Stale accounting recovers only at rebind, which builds a
+        # fresh view (check_invariants writes nothing).
+        dc.check_invariants()
+        assert columnar_host_view(dc) is None
+        FleetBinding.try_bind(dc, DEFAULT_PARAMS)
+        fresh = columnar_host_view(dc)
+        assert fresh is not None and fresh is not acc
+        fresh.verify()
 
     def test_empty_host_semantics(self):
         params = DEFAULT_PARAMS
@@ -277,16 +288,15 @@ class TestHostAccountingUnit:
             assert acc.pos(host) == acc.position(host.name) == k
         assert acc.position("nope") is None
 
-    def test_verify_raises_on_direct_wiring(self):
+    def test_verify_detects_diverged_rows(self):
+        """The parity oracle's row check must be able to fail.  Direct
+        ``host.vms`` writes are refused now, so diverge the rows."""
         dc, _ = self._bound()
         acc = dc._accounting
-        vm = dc.hosts[0].vms.pop()  # behind the data center's back
-        dc.hosts[1].vms.append(vm)
+        acc.verify()
+        acc._rows[1].append(acc._rows[0].pop())
         with pytest.raises(AssertionError):
             acc.verify()
-        # check_invariants reconciles the rows, like the placement index.
-        dc.check_invariants()
-        acc.verify()
 
     def test_hourly_simulator_attaches_accounting(self):
         dc = build_fleet(n_hosts=4, n_vms=12, llmi_fraction=0.5, hours=24)

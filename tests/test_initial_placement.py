@@ -13,7 +13,7 @@ class TestVMRemoval:
         vm = VM("v", always_idle_trace(48), TESTBED_VM)
         dc.place(vm, host)
         dc.remove(vm, now=3600.0)
-        assert host.vms == []
+        assert not host.vms
         assert host.meter.total_seconds == pytest.approx(3600.0)
         # The slot is reusable.
         dc.place(VM("w", always_idle_trace(48), TESTBED_VM), host)
@@ -30,7 +30,7 @@ class TestVMRemoval:
         dc.place(vm, host)
         host.sync_meter(100.5)  # transition charged past the boundary
         dc.remove(vm, now=100.0)  # must not raise
-        assert host.vms == []
+        assert not host.vms
 
 
 class TestInitialPlacementExperiment:

@@ -30,6 +30,7 @@ from repro.api.sharded import ShardedConfig
 from repro.experiments.common import build_fleet
 from repro.faults import FaultPlan, HostCrashFaults, WolFaults
 from repro.resilience import (
+    CHECKPOINT_VERSION,
     Checkpoint,
     CheckpointError,
     CheckpointPolicy,
@@ -198,6 +199,17 @@ class TestCheckpointFiles:
         wrapper["version"] = 99
         path.write_bytes(pickle.dumps(wrapper))
         with pytest.raises(CheckpointError, match="format 99"):
+            Checkpoint.load(path)
+
+    def test_v1_checkpoint_refused(self, tmp_path):
+        """v1 pickled hosts with a writable ``vms`` list; this build's
+        hosts are read-only to everything but the DataCenter."""
+        assert CHECKPOINT_VERSION == 2
+        path = self._one_checkpoint(tmp_path)
+        wrapper = pickle.loads(path.read_bytes())
+        wrapper["version"] = 1
+        path.write_bytes(pickle.dumps(wrapper))
+        with pytest.raises(CheckpointError, match="format 1; this build reads 2"):
             Checkpoint.load(path)
 
     def test_corrupt_payload_fails_digest(self, tmp_path):

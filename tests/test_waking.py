@@ -274,7 +274,7 @@ class TestReverseIndex:
         sim, spy, module, host, vm = setup
         other = Host("h2")
         module.register_suspension(host, None)
-        host.vms.remove(vm)
+        host.remove_vm(vm)
         other.add_vm(vm)
         module.register_suspension(other, None)
         assert module.state.vm_to_mac[vm.ip_address] == other.mac_address
