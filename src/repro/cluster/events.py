@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Any, Callable, Iterable
 
 
@@ -58,6 +59,11 @@ class EventSimulator:
         #: Live (non-cancelled) events in the heap; kept in lockstep by
         #: schedule/cancel/pop so :attr:`pending` is O(1), not a scan.
         self._live = 0
+        #: Every event at or before this instant has been processed
+        #: (set when :meth:`run_until` / :meth:`run` return).  Lets a
+        #: periodic process that is counted instead of run tell whether
+        #: its beat at ``now`` already happened (DESIGN.md §14).
+        self.completed_until = -math.inf
 
     @property
     def now(self) -> float:
@@ -117,7 +123,9 @@ class EventSimulator:
         A batched handler (e.g. the suspend-check sweep) that stands in
         for ``k`` per-entity events calls ``count_coalesced(k - 1)`` so
         :attr:`events_processed` — the throughput metric and a parity
-        observable — matches the unbatched event path exactly.
+        observable — matches the unbatched event path exactly.  The
+        waking service credits its counted heartbeats the same way,
+        from outside any event.
         """
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
@@ -159,11 +167,13 @@ class EventSimulator:
                 break
             self.step()
         self._now = max(self._now, end_time)
+        self.completed_until = max(self.completed_until, end_time)
 
     def run(self) -> None:
         """Process events until the queue is drained."""
         while self.step():
             pass
+        self.completed_until = max(self.completed_until, self._now)
 
     @property
     def pending(self) -> int:

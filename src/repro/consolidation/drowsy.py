@@ -121,6 +121,16 @@ class DrowsyController(NeatController):
         converge and "a migrated VM reaches a stable state" (Fig. 2)
         instead of reshuffling on IP noise.  Returns the number of
         migrations performed.
+
+        The search is batched.  The day-ahead IP window is one
+        ``(n_vms, 24)`` matrix built once per call, and a host pair
+        scores all its capacity-feasible candidates at once: the
+        candidate groups are stacked by size and reduced in one
+        fancy-indexed pass per size (:func:`_dispersions`).  A
+        candidate group lists the host's remaining VMs in placement
+        order, then the incoming one, and batching reduces each group
+        exactly as it would be reduced alone, so the sums, gain tests
+        and tie-breaks do not depend on the batching.
         """
         hosts = [h for h in self.dc.hosts if h.state in MANAGED_STATES]
         vms = [vm for h in hosts for vm in h.vms]
@@ -131,18 +141,19 @@ class DrowsyController(NeatController):
         # profile separates patterns that a single slot cannot: two VMs
         # can tie at 3 am yet differ at 9 am.
         window = 24
-        ips = {vm.name: np.array([vm.raw_ip(hour_index + k)
-                                  for k in range(window)]) for vm in vms}
-        groups: dict[str, list[VM]] = {h.name: list(h.vms) for h in hosts}
+        ips = np.array([[vm.raw_ip(hour_index + k) for k in range(window)]
+                        for vm in vms])
+        mem = [vm.resources.memory_mb for vm in vms]
+        cpu = [vm.resources.cpus for vm in vms]
+        # Groups hold row numbers into ``ips`` (VMs in placement order).
+        groups: dict[str, list[int]] = {}
+        first = 0
+        for h in hosts:
+            groups[h.name] = list(range(first, first + len(h.vms)))
+            first += len(h.vms)
         host_by_name = {h.name: h for h in hosts}
-
-        def dispersion(group: list[VM]) -> float:
-            """Summed per-slot IP spread of a host's VMs over the window."""
-            if len(group) < 2:
-                return 0.0
-            vals = np.stack([ips[vm.name] for vm in group])
-            mean = vals.mean(axis=0)
-            return float(np.abs(vals - mean).sum())
+        limits = {h.name: (h.capacity.memory_mb, h.capacity.schedulable_cpus)
+                  for h in hosts}
 
         threshold = self.params.ip_distance_tolerance
         names = sorted(groups)
@@ -151,52 +162,85 @@ class DrowsyController(NeatController):
             for i, n1 in enumerate(names):
                 for n2 in names[i + 1:]:
                     g1, g2 = groups[n1], groups[n2]
-                    h1, h2 = host_by_name[n1], host_by_name[n2]
-                    mem1 = sum(v.resources.memory_mb for v in g1)
-                    cpu1 = sum(v.resources.cpus for v in g1)
-                    mem2 = sum(v.resources.memory_mb for v in g2)
-                    cpu2 = sum(v.resources.cpus for v in g2)
-                    base = dispersion(g1) + dispersion(g2)
-                    best: tuple[float, VM | None, VM | None] | None = None
+                    mem_cap1, cpu_cap1 = limits[n1]
+                    mem_cap2, cpu_cap2 = limits[n2]
+                    mem1 = sum(mem[v] for v in g1)
+                    cpu1 = sum(cpu[v] for v in g1)
+                    mem2 = sum(mem[v] for v in g2)
+                    cpu2 = sum(cpu[v] for v in g2)
                     # Swaps and one-way moves into genuinely free slots
                     # (never onto an emptied host: splitting a group
-                    # onto idle metal is anti-consolidation).
-                    candidates: list[tuple[VM | None, VM | None]] = [
+                    # onto idle metal is anti-consolidation).  ``None``
+                    # is the empty side of a one-way move.
+                    candidates: list[tuple[int | None, int | None]] = [
                         (a, b) for a in g1 for b in g2]
                     if g2:
                         candidates += [(a, None) for a in g1]
                     if g1:
                         candidates += [(None, b) for b in g2]
+                    new1s: list[list[int]] = []
+                    new2s: list[list[int]] = []
                     for a, b in candidates:
-                        am, ac = ((a.resources.memory_mb, a.resources.cpus)
-                                  if a is not None else (0, 0))
-                        bm, bc = ((b.resources.memory_mb, b.resources.cpus)
-                                  if b is not None else (0, 0))
+                        am, ac = (mem[a], cpu[a]) if a is not None else (0, 0)
+                        bm, bc = (mem[b], cpu[b]) if b is not None else (0, 0)
                         # Capacity is a hard constraint in *both*
                         # directions: with heterogeneous flavors (the
                         # scenario fleets) even a swap is not
                         # capacity-neutral.  O(1) deltas off the hoisted
                         # group sums; always true for uniform flavors,
                         # so the E8 search is unchanged.
-                        if (mem1 - am + bm > h1.capacity.memory_mb
-                                or cpu1 - ac + bc > h1.capacity.schedulable_cpus
-                                or mem2 - bm + am > h2.capacity.memory_mb
-                                or cpu2 - bc + ac > h2.capacity.schedulable_cpus):
+                        if (mem1 - am + bm > mem_cap1
+                                or cpu1 - ac + bc > cpu_cap1
+                                or mem2 - bm + am > mem_cap2
+                                or cpu2 - bc + ac > cpu_cap2):
                             continue
-                        new1 = [v for v in g1 if v is not a] + ([b] if b else [])
-                        new2 = [v for v in g2 if v is not b] + ([a] if a else [])
-                        gain = base - (dispersion(new1) + dispersion(new2))
+                        new1s.append([v for v in g1 if v != a]
+                                     + ([b] if b is not None else []))
+                        new2s.append([v for v in g2 if v != b]
+                                     + ([a] if a is not None else []))
+                    if not new1s:
+                        continue
+                    # One batched scoring pass per pair: both current
+                    # groups, then every feasible candidate's two groups.
+                    n = len(new1s)
+                    spread = _dispersions(ips, [g1, g2] + new1s + new2s)
+                    base = spread[0] + spread[1]
+                    best: tuple[float, int] | None = None
+                    for j in range(n):
+                        gain = base - (spread[2 + j] + spread[2 + n + j])
                         if gain > threshold and (best is None or gain > best[0]):
-                            best = (gain, a, b)
+                            best = (gain, j)
                     if best is not None:
-                        _, a, b = best
-                        groups[n1] = [v for v in g1 if v is not a] + ([b] if b else [])
-                        groups[n2] = [v for v in g2 if v is not b] + ([a] if a else [])
+                        groups[n1] = new1s[best[1]]
+                        groups[n2] = new2s[best[1]]
                         improved = True
             if not improved:
                 break
 
-        assignment = {vm.name: host_by_name[hname]
-                      for hname, group in groups.items() for vm in group}
+        assignment = {vms[v].name: host_by_name[hname]
+                      for hname, group in groups.items() for v in group}
         records = self.dc.apply_assignment(assignment, now)
         return len(records)
+
+
+def _dispersions(ips: np.ndarray, groups: list[list[int]]) -> list[float]:
+    """Summed per-slot IP spread of each group of ``ips`` rows: the
+    sum over rows and slots of ``|ip - mean ip of the slot|``.
+
+    Groups of one size are reduced together: the mean over the row
+    axis adds rows in group order, and each group's deviations are
+    summed as one contiguous ``k * slots`` run -- the same additions,
+    in the same order, as reducing each group on its own.
+    """
+    out = [0.0] * len(groups)  # a group of < 2 VMs has no spread
+    by_size: dict[int, list[int]] = {}
+    for j, group in enumerate(groups):
+        if len(group) >= 2:
+            by_size.setdefault(len(group), []).append(j)
+    for members in by_size.values():
+        vals = ips[[groups[j] for j in members]]  # (c, k, slots)
+        dev = np.abs(vals - vals.mean(axis=1)[:, None, :])
+        spread = dev.reshape(len(members), -1).sum(axis=1)
+        for j, d in zip(members, spread.tolist()):
+            out[j] = d
+    return out

@@ -43,7 +43,10 @@ log = get_logger("resilience.checkpoint")
 #: On-disk format version; bump on any incompatible layout change.
 #: 2: ``Host`` keeps its VMs in a read-only tuple owned by the
 #: DataCenter (a v1 pickle would restore a writable ``vms`` list).
-CHECKPOINT_VERSION = 2
+#: 3: the waking service counts its healthy heartbeats instead of
+#: queueing them (a v2 pickle would restore a live beat chain into a
+#: counting service and count every beat twice).
+CHECKPOINT_VERSION = 3
 _MAGIC = "repro-ckpt"
 #: Checkpoint filename suffix (what discovery globs for).
 CHECKPOINT_SUFFIX = ".ckpt"

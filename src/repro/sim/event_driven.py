@@ -266,6 +266,8 @@ class EventDrivenSimulation:
         start_hour, n_hours = self._horizon
         end = time_of_hour(start_hour + n_hours)
         self.sim.run_until(end)
+        # Counted heartbeats through ``end``, whose beat the drain ran.
+        self.waking.settle()
         self.dc.sync_meters(end)
         return self._result(n_hours, self._migrations_before)
 
@@ -293,6 +295,10 @@ class EventDrivenSimulation:
     def _hour_tick(self, t: int) -> None:
         now = self.sim.now
         self._current_hour = t
+        # Bring the counted heartbeats up to this tick, so the telemetry
+        # sampled below reads what a beat-per-event chain would
+        # (DESIGN.md §14).
+        self.waking.settle()
         binding = self._binding
         if binding is not None and not binding.current(self.dc):
             # A place/remove since the last bind (DESIGN.md §7).

@@ -10,6 +10,17 @@ state-changing call is applied to the active module and synchronously
 replicated to the standby's state; a heartbeat monitor promotes the
 mirror when the primary misses ``heartbeat_miss_limit`` beats.
 
+Heartbeats are counted, not run, while the primary is alive.  The
+mirror beats once per ``heartbeat_period_s`` on a fixed grid (the
+construction instant plus repeated float additions of the period),
+and a beat against a live primary changes nothing.  So no beat event
+goes on the heap until :meth:`~ReplicatedWakingService.fail_primary`:
+the beats up to the kill are settled arithmetically (:func:`count_beats`)
+and credited to the kernel with ``count_coalesced``, and from the next
+grid instant real beat events count the misses, the last one promoting
+the mirror.  ``beats`` and ``events_processed`` read exactly what a
+beat-per-event chain would at every hour tick and at the end of a run.
+
 The detection window is real.  Between the primary dying and the
 heartbeat noticing (worst case :attr:`detection_delay_s`), calls against
 the service behave like their distributed-system counterparts:
@@ -29,12 +40,56 @@ the service behave like their distributed-system counterparts:
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 
 from ..cluster.events import EventSimulator
 from ..cluster.host import Host
 from ..core.params import DEFAULT_PARAMS, DrowsyParams
 from .module import WakingModule, WolSender
 from .packets import Packet
+
+
+def count_beats(start: float, period: float, until: float,
+                inclusive: bool) -> tuple[int, float]:
+    """Count the grid instants ``start``, ``start + period``,
+    ``(start + period) + period``, ... that fall before ``until`` (or
+    at it, when ``inclusive``), as a chain of beats each scheduling the
+    next would produce them.  Returns ``(count, first instant left)``.
+
+    Float addition of a fixed period is an arithmetic progression
+    inside one binade: every exact sum in ``[2**e, 2**(e+1))`` rounds
+    to a multiple of the same ulp by the same number of ulps.  So each
+    binade is crossed in one exact step, and only the instants next to
+    a binade edge, or where the sum is an exact tie, are added one at a
+    time.
+    """
+    count = 0
+    t = start
+    while t < until or (inclusive and t == until):
+        steps = 0
+        if t >= period > 0.0:
+            ulp = Fraction(math.ulp(t))
+            units = Fraction(period) / ulp
+            whole = math.floor(units)
+            rest = units - whole
+            if rest != Fraction(1, 2):  # a tie rounds by parity
+                step = (whole + (rest > Fraction(1, 2))) * ulp
+                here = Fraction(t)
+                # Additions whose exact sum stays inside t's binade.
+                room = (Fraction(2) ** math.frexp(t)[1] - Fraction(period)
+                        - here)
+                span = Fraction(until) - here
+                steps = min(math.ceil(room / step) if room > 0 else 0,
+                            math.floor(span / step) + 1 if inclusive
+                            else math.ceil(span / step))
+        if steps:
+            count += steps
+            t = float(here + steps * step)
+        else:
+            count += 1
+            t += period
+    return count, t
 
 
 class _GuardedWolSender:
@@ -77,11 +132,15 @@ class ReplicatedWakingService:
         self.unanswered_packets = 0
         #: State-changing calls dropped because both replicas were dead.
         self.lost_calls = 0
-        #: Heartbeat events processed — the one engine-global recurring
-        #: event; the sharded reducer subtracts duplicate chains with it.
+        #: Heartbeats sent so far, counted ones included; each is one
+        #: logical event in ``sim.events_processed``, and the sharded
+        #: reducer subtracts the duplicate per-shard monitors with it.
         self.beats = 0
-        self._heartbeat_event = sim.schedule_in(
-            params.heartbeat_period_s, self._heartbeat)
+        #: Next grid instant whose beat is not yet counted.
+        self._next_beat = sim.now + params.heartbeat_period_s
+        #: Beats are counted (primary alive and never killed); real beat
+        #: events take over at :meth:`fail_primary`.
+        self._counting = True
 
     # ------------------------------------------------------------------
     @property
@@ -141,22 +200,35 @@ class ReplicatedWakingService:
             standby.state = self.active.snapshot()
 
     # ------------------------------------------------------------------
+    def settle(self) -> None:
+        """Credit the beats the healthy primary has answered by now.
+
+        A beat at exactly ``now`` has happened if the kernel already
+        drained this instant (between runs, where ``run_until`` is
+        inclusive).  Inside an event it has not: the beat was
+        scheduled one period ago, after every event already queued
+        for this instant, such as the hour ticks and an injected kill.
+        """
+        if not self._counting:
+            return
+        sim = self.sim
+        n, self._next_beat = count_beats(
+            self._next_beat, self.params.heartbeat_period_s, sim.now,
+            inclusive=sim.completed_until >= sim.now)
+        if n:
+            self.beats += n
+            sim.count_coalesced(n)
+
     def _heartbeat(self) -> None:
-        """Periodic liveness check of the primary by the mirror."""
+        """A beat after the primary died: the mirror notes one miss."""
         self.beats += 1
-        if self._mirror_active:
-            return  # already failed over; single module remains
-        if self.primary.alive:
-            self._missed_beats = 0
-        else:
-            self._missed_beats += 1
-            if self._missed_beats >= self.params.heartbeat_miss_limit:
-                if self.mirror.alive:
-                    self._promote_mirror()
-                # Both dead: stop monitoring, service stays degraded.
-                return
-        self._heartbeat_event = self.sim.schedule_in(
-            self.params.heartbeat_period_s, self._heartbeat)
+        self._missed_beats += 1
+        if self._missed_beats < self.params.heartbeat_miss_limit:
+            self.sim.schedule_in(self.params.heartbeat_period_s,
+                                 self._heartbeat)
+        elif self.mirror.alive:
+            self._promote_mirror()
+        # Both dead: stop monitoring, service stays degraded.
 
     def _promote_mirror(self) -> None:
         """Mirror takes over with the replicated state, re-arming wakes."""
@@ -165,10 +237,18 @@ class ReplicatedWakingService:
         self.mirror.restore(self.mirror.state)
 
     def fail_primary(self) -> None:
-        """Fault injection: crash the primary module."""
+        """Fault injection: crash the primary module.
+
+        Settles the counted beats, then schedules the first missed beat
+        at the next grid instant; each miss schedules the next."""
+        self.settle()
         self.primary.fail()
+        if self._counting:
+            self._counting = False
+            self.sim.schedule_at(self._next_beat, self._heartbeat)
 
     @property
     def detection_delay_s(self) -> float:
-        """Worst-case failover detection latency."""
+        """Worst-case failover detection latency: from a kill just after
+        a beat to the ``heartbeat_miss_limit``-th missed beat."""
         return self.params.heartbeat_period_s * self.params.heartbeat_miss_limit

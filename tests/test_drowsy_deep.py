@@ -1,8 +1,10 @@
 """Deeper tests of the Drowsy-DC controller's mechanisms."""
 
+import numpy as np
+import pytest
 
 from repro.cluster import DataCenter, Host, HostCapacity, ResourceSpec, VM
-from repro.consolidation import DrowsyController
+from repro.consolidation import DrowsyController, drowsy
 from repro.core.params import DEFAULT_PARAMS
 from repro.traces.synthetic import always_idle_trace
 
@@ -112,6 +114,55 @@ class TestRelocateAllDeep:
         names0 = {vm.name for vm in h0.vms}
         assert names0 in ({"a", "c"}, {"b", "d"})
 
+    def test_single_vm_groups_have_no_spread(self):
+        """A group of one scores 0: moving the odd VM onto a host of its
+        own kind and leaving a singleton behind is a gain."""
+        h0, h1 = Host("h0"), Host("h1")
+        dc = DataCenter([h0, h1])
+        a, b, c = (make_vm(n, mem=6144) for n in "abc")
+        train(a, MORNINGS)
+        train(b, NIGHTS)
+        train(c, MORNINGS)
+        dc.place(a, h0)
+        dc.place(b, h0)
+        dc.place(c, h1)
+        assert DrowsyController(dc).relocate_all(HOUR, now=0.0) == 2
+        assert {vm.name for vm in h0.vms} == {"a", "c"}
+        assert [vm.name for vm in h1.vms] == ["b"]
+        ips = np.array([[float(x) for x in range(24)],
+                        [2.0 * x for x in range(24)],
+                        [0.5] * 24])
+        spread = drowsy._dispersions(ips, [[], [1], [0, 1], [2, 0, 1]])
+        assert spread[:2] == [0.0, 0.0]
+        for got, rows in zip(spread[2:], ([0, 1], [2, 0, 1])):
+            vals = ips[rows]
+            assert got == float(np.abs(vals - vals.mean(axis=0)).sum())
+
+    def test_pair_with_no_feasible_candidate(self, monkeypatch):
+        """Two full hosts with unequal flavors: every swap overfills one
+        side and no move fits, so the pair is never scored."""
+        cap = HostCapacity(cpus=8, memory_mb=8192, cpu_overcommit=1.0)
+        h0, h1 = Host("h0", cap), Host("h1", cap)
+        dc = DataCenter([h0, h1])
+        a, b = make_vm("a", mem=4096), make_vm("b", mem=4096)
+        c, d = make_vm("c", mem=6144), make_vm("d", mem=2048)
+        for vm, pattern in ((a, MORNINGS), (b, NIGHTS), (c, MORNINGS),
+                            (d, NIGHTS)):
+            train(vm, pattern)
+        dc.place(a, h0)
+        dc.place(b, h0)
+        dc.place(c, h1)
+        dc.place(d, h1)
+        scored = []
+        score = drowsy._dispersions
+        monkeypatch.setattr(drowsy, "_dispersions",
+                            lambda ips, groups: scored.append(groups)
+                            or score(ips, groups))
+        assert DrowsyController(dc).relocate_all(HOUR, now=0.0) == 0
+        assert scored == []
+        assert [vm.name for vm in h0.vms] == ["a", "b"]
+        assert [vm.name for vm in h1.vms] == ["c", "d"]
+
     def test_relocate_skips_off_hosts(self):
         from repro.cluster import PowerState
 
@@ -179,3 +230,50 @@ class TestDrowsyEndToEndSmall:
         groups = [{vm.name for vm in h.vms} for h in hosts]
         assert {"llmu-a", "llmu-b"} in groups
         assert {"llmi-a", "llmi-b"} in groups
+
+
+#: Final placement (host -> VM numbers) and migration count of the E8
+#: drowsy cell after 48 h, recorded from the one-group-at-a-time swap
+#: search.  Runs on the hourly engine.
+E8_GOLDEN = {
+    7: (34, {
+        "H000": "010 017 020 031",
+        "H001": "004 009 019 034",
+        "H002": "002 032 033 038",
+        "H003": "003 016 023 027",
+        "H004": "014 021 024 035",
+        "H005": "005 015 025 026",
+        "H006": "008 011 022 039",
+        "H007": "006 007 018 036",
+        "H008": "000 012 028 037",
+        "H009": "001 013 029 030",
+    }),
+    1009: (48, {
+        "H000": "024 030 032 036",
+        "H001": "007 014 015 029",
+        "H002": "003 004 021 022",
+        "H003": "012 020 027 033",
+        "H004": "001 008 023 034",
+        "H005": "005 011 018 035",
+        "H006": "009 010 016 017",
+        "H007": "002 025 026 039",
+        "H008": "000 013 028 037",
+        "H009": "006 019 031 038",
+    }),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(E8_GOLDEN))
+def test_relocate_all_golden_e8_cell(seed):
+    from repro.api import Simulation
+    from repro.experiments.common import build_fleet
+    from repro.sim.hourly import HourlyConfig
+
+    dc = build_fleet(10, 40, 0.5, 48, seed=seed)
+    result = Simulation(
+        dc, "drowsy", "hourly",
+        config=HourlyConfig(suspend_enabled=True, relocate_all_mode=True,
+                            power_off_empty=True, update_models=True)).run(48)
+    placement = {h.name: " ".join(sorted(vm.name[3:] for vm in h.vms))
+                 for h in dc.hosts}
+    assert (result.migrations, placement) == E8_GOLDEN[seed]

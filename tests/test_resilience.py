@@ -204,12 +204,24 @@ class TestCheckpointFiles:
     def test_v1_checkpoint_refused(self, tmp_path):
         """v1 pickled hosts with a writable ``vms`` list; this build's
         hosts are read-only to everything but the DataCenter."""
-        assert CHECKPOINT_VERSION == 2
+        assert CHECKPOINT_VERSION == 3
         path = self._one_checkpoint(tmp_path)
         wrapper = pickle.loads(path.read_bytes())
         wrapper["version"] = 1
         path.write_bytes(pickle.dumps(wrapper))
-        with pytest.raises(CheckpointError, match="format 1; this build reads 2"):
+        with pytest.raises(CheckpointError, match="format 1; this build reads 3"):
+            Checkpoint.load(path)
+
+    def test_v2_checkpoint_refused(self, tmp_path):
+        """v2 pickled a waking service with a queued heartbeat chain;
+        this build counts healthy beats, so restoring that chain would
+        count every beat twice."""
+        assert CHECKPOINT_VERSION == 3
+        path = self._one_checkpoint(tmp_path)
+        wrapper = pickle.loads(path.read_bytes())
+        wrapper["version"] = 2
+        path.write_bytes(pickle.dumps(wrapper))
+        with pytest.raises(CheckpointError, match="format 2; this build reads 3"):
             Checkpoint.load(path)
 
     def test_corrupt_payload_fails_digest(self, tmp_path):
