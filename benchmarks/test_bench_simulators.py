@@ -223,19 +223,14 @@ def test_event_batched_speedup_and_parity(benchmark):
 @pytest.mark.parametrize("controller",
                          ["drowsy", "neat", "neat-distributed", "oasis"])
 def test_event_batched_parity_all_controllers(controller):
-    """Bit-identical EventResult for every controller family.
-
-    ``adaptive_checks=False`` on both sides: this pins the pure
-    batching mechanics (the adaptive widening has its own parity
-    suite, which permits fewer check events)."""
+    """Bit-identical EventResult for every controller family."""
 
     def run(use_batched):
         dc = _fleet(32, 24)
         sim = Simulation(
             dc, controller, "event",
             config=EventConfig(use_batched_checks=use_batched,
-                               use_bulk_requests=use_batched,
-                               adaptive_checks=False))
+                               use_bulk_requests=use_batched))
         return sim.run(8)
 
     _assert_event_results_identical(run(False), run(True))

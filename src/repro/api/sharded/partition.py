@@ -63,20 +63,21 @@ def partition_hosts(dc: DataCenter, shards: int) -> list[list]:
 def clone_shard_dc(dc: DataCenter, shard_hosts: list) -> DataCenter:
     """A self-contained deep copy of ``shard_hosts`` as a DataCenter.
 
-    The back-references every host keeps to its data center
-    (``host._dc``, set by ``DataCenter.__post_init__``) would drag the
+    The back-references every host and VM keeps to its data center
+    (``host._dc``/``vm._dc``, set by the ``DataCenter``) would drag the
     whole fleet into the copy; they are nulled for the duration of the
     copy and restored, and the new ``DataCenter`` re-establishes them
     on the copies.
     """
     saved = [(h, h._dc) for h in dc.hosts]
-    for h in dc.hosts:
-        h._dc = None
+    saved += [(vm, vm._dc) for h in dc.hosts for vm in h.vms]
+    for obj, _ in saved:
+        obj._dc = None
     try:
         memo = {id(dc.params): dc.params}
         copied = copy.deepcopy(shard_hosts, memo)
         migration_model = copy.deepcopy(dc.migration_model)
     finally:
-        for h, back in saved:
-            h._dc = back
+        for obj, back in saved:
+            obj._dc = back
     return DataCenter(copied, dc.params, migration_model=migration_model)

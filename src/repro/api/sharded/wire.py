@@ -58,15 +58,17 @@ def pickle_vm(vm) -> bytes:
     """Pickle ``vm`` with its model detached to a scalar copy.
 
     The VM object itself is left untouched (its model — possibly a
-    fleet view into the source shard's binding — is swapped out only
-    for the duration of the dump).
+    fleet view into the source shard's binding — and its back-reference
+    to the source data center are swapped out only for the duration of
+    the dump).
     """
-    model = vm.model
+    model, dc = vm.model, vm._dc
     vm.model = detached_model(model, vm.params)
+    vm._dc = None
     try:
         return pickle.dumps(vm, protocol=pickle.HIGHEST_PROTOCOL)
     finally:
-        vm.model = model
+        vm.model, vm._dc = model, dc
 
 
 def unpickle_vm(blob: bytes):

@@ -9,6 +9,7 @@ is built from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..core.params import DEFAULT_PARAMS, DrowsyParams
 from .host import Host, _without
@@ -57,11 +58,17 @@ class DataCenter:
         #: leave it alone.  The simulators rebind their columnar fleet
         #: binding when it moves instead of rescanning the VMs each hour.
         self.population_version = 0
+        #: Called with a host whose suspend-verdict inputs changed
+        #: between hour ticks (its VMs, or a VM's blocked I/O); the
+        #: event simulator re-arms the host's suspend check with it.
+        self.on_host_change: Callable[[Host], None] | None = None
         # Hosts wired before construction (Host.add_vm) are validated
         # here: a VM on two hosts or an overfull host is refused.
         self.check_invariants()
         for host in self.hosts:
             host._dc = self
+            for vm in host.vms:
+                vm._dc = self
 
     # ------------------------------------------------------------------
     # the single writer of placement
@@ -70,15 +77,27 @@ class DataCenter:
         host._vms += (vm,)
         self._placement[vm.name] = host
         self._vm_by_name[vm.name] = vm
+        vm._dc = self
         if self._accounting is not None:
             self._accounting.on_place(vm.name, host)
+        if self.on_host_change is not None:
+            self.on_host_change(host)
 
     def _detach(self, vm: VM, host: Host) -> None:
         host._vms = _without(host._vms, vm)
         del self._placement[vm.name]
         del self._vm_by_name[vm.name]
+        vm._dc = None
         if self._accounting is not None:
             self._accounting.on_remove(vm.name, host)
+        if self.on_host_change is not None:
+            self.on_host_change(host)
+
+    def _blocked_io_changed(self, vm: VM) -> None:
+        """``vm.blocked_io`` flipped (called by the VM while placed)."""
+        if (self.on_host_change is not None
+                and self._vm_by_name.get(vm.name) is vm):
+            self.on_host_change(self._placement[vm.name])
 
     # ------------------------------------------------------------------
     @property

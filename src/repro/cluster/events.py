@@ -26,13 +26,17 @@ class Event:
     both smaller and faster to construct than a dict-backed one.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_owner")
+    __slots__ = ("time", "seq", "born", "callback", "args", "cancelled",
+                 "_owner")
 
     def __init__(self, time: float, seq: int,
                  callback: Callable[..., None] | None, args: tuple = (),
-                 owner: "EventSimulator | None" = None) -> None:
+                 owner: "EventSimulator | None" = None,
+                 born: float = 0.0) -> None:
         self.time = time
         self.seq = seq
+        #: Clock reading when the event was scheduled.
+        self.born = born
         self.callback = callback
         self.args = args
         self.cancelled = False
@@ -64,6 +68,11 @@ class EventSimulator:
         #: periodic process that is counted instead of run tell whether
         #: its beat at ``now`` already happened (DESIGN.md §14).
         self.completed_until = -math.inf
+        #: The event whose callback is running, None between events.
+        #: With :meth:`watermark` it lets a process that is counted
+        #: instead of run order itself against the running event
+        #: (DESIGN.md §12).
+        self.current: Event | None = None
 
     @property
     def now(self) -> float:
@@ -77,7 +86,7 @@ class EventSimulator:
             raise ValueError(
                 f"cannot schedule in the past: {time} < now {self._now}")
         ev = Event(time=max(time, self._now), seq=next(self._seq),
-                   callback=callback, args=args, owner=self)
+                   callback=callback, args=args, owner=self, born=self._now)
         heapq.heappush(self._heap, (ev.time, ev.seq, ev))
         self._live += 1
         return ev
@@ -109,7 +118,8 @@ class EventSimulator:
                 raise ValueError(
                     f"cannot schedule in the past: {time} < now {now}")
             events.append(Event(time=max(time, now), seq=next(self._seq),
-                                callback=callback, args=args, owner=self))
+                                callback=callback, args=args, owner=self,
+                                born=now))
         if events:
             self._heap.extend((ev.time, ev.seq, ev) for ev in events)
             heapq.heapify(self._heap)
@@ -130,6 +140,11 @@ class EventSimulator:
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         self.events_processed += n
+
+    def watermark(self) -> int:
+        """A sequence number above every event scheduled so far and
+        below every event scheduled from now on."""
+        return next(self._seq)
 
     # ------------------------------------------------------------------
     def peek_time(self) -> float | None:
@@ -154,7 +169,11 @@ class EventSimulator:
             cb, args = ev.callback, ev.args
             self.events_processed += 1
             assert cb is not None
-            cb(*args)
+            self.current = ev
+            try:
+                cb(*args)
+            finally:
+                self.current = None
             return True
         return False
 

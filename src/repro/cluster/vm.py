@@ -77,6 +77,9 @@ class VM:
         self.current_activity = 0.0
         self.migrations = 0
         self._blocked_io = False
+        #: The DataCenter placing this VM (set on attach), told of
+        #: blocked-I/O flips so a waiting suspend check re-arms.
+        self._dc = None
 
     @property
     def blocked_io(self) -> bool:
@@ -86,6 +89,7 @@ class VM:
 
     @blocked_io.setter
     def blocked_io(self, value: bool) -> None:
+        changed = self._blocked_io != bool(value)
         self._blocked_io = bool(value)
         # Mirror into the fleet's columnar blocked-I/O flags when bound,
         # so the batched suspend sweep sees the change without a rescan.
@@ -93,6 +97,8 @@ class VM:
         fleet = getattr(model, "fleet", None)
         if fleet is not None and hasattr(fleet, "set_blocked_io"):
             fleet.set_blocked_io(model.fleet_index, self._blocked_io)
+        if changed and self._dc is not None:
+            self._dc._blocked_io_changed(self)
 
     # ------------------------------------------------------------------
     @property

@@ -46,7 +46,11 @@ log = get_logger("resilience.checkpoint")
 #: 3: the waking service counts its healthy heartbeats instead of
 #: queueing them (a v2 pickle would restore a live beat chain into a
 #: counting service and count every beat twice).
-CHECKPOINT_VERSION = 3
+#: 4: suspend checks run only when a verdict can change and count the
+#: polls in between (a v3 pickle would restore widened registrations
+#: with nothing to credit, undercounting ``decision_counts`` and
+#: ``events_processed``); events record when they were queued.
+CHECKPOINT_VERSION = 4
 _MAGIC = "repro-ckpt"
 #: Checkpoint filename suffix (what discovery globs for).
 CHECKPOINT_SUFFIX = ".ckpt"

@@ -51,7 +51,12 @@ from .suspend_sweep import SuspendSweepScheduler
 
 @dataclass(frozen=True)
 class EventConfig:
-    """Options for the event-driven run."""
+    """Options for the event-driven run.
+
+    Each ``use_*`` flag turns on a fast path; ``False`` selects the
+    slower path it replaced, kept as a parity oracle whose results the
+    fast path must equal exactly.
+    """
 
     suspend_enabled: bool = True
     consolidation_period_h: int = 1
@@ -69,10 +74,14 @@ class EventConfig:
     #: follows ``use_fleet_model``; an explicit ``True`` without the
     #: fleet model raises (the view is built on the fleet binding).
     use_host_accounting: bool | None = None
-    #: Batch the per-host suspend-check events into fleet-wide sweeps on
-    #: a timer wheel of check deadlines, with verdicts from one columnar
-    #: pass per hour (DESIGN.md §10).  Bit-identical to the per-host
-    #: event path, which remains the parity oracle; disable only for
+    #: Run each host's suspend check only when its verdict can change —
+    #: at hour boundaries, grace expiries, and after mid-hour placement
+    #: or blocked-I/O changes — and count the polls in between instead
+    #: of running them; hosts due at one instant share a sweep, with
+    #: verdicts from one columnar pass per hour (DESIGN.md §10, §12).
+    #: Bit-identical to the per-host fixed-period event path on every
+    #: result, ``events_processed`` and ``decision_counts`` included;
+    #: that path stays as the parity oracle.  Disable only for
     #: benchmarking or parity checks.
     use_batched_checks: bool = True
     #: Draw each hour's request arrivals *and* service times in one RNG
@@ -88,26 +97,6 @@ class EventConfig:
     #: invariant under placement/iteration reordering; requires
     #: ``use_bulk_requests``).
     request_streams: str = "shared"
-    #: Adaptive suspend-check periods (DESIGN.md §12): double a host's
-    #: check interval while it keeps voting ACTIVE (a busy host cannot
-    #: suspend, so checking it every period is wasted work), reset to
-    #: the base period on any other decision or on resume.  Widened
-    #: deadlines stay on the host's fixed-period grid (iterated float
-    #: addition, identical to the per-check path's ``now + period``
-    #: chain) and never skip the first check at/after an hour boundary
-    #: — the only instants a verdict can change — so every suspend
-    #: fires at exactly the time the fixed-period oracle would pick:
-    #: all results are bit-identical except ``events_processed``
-    #: (fewer checks).  ``None`` (the default) follows
-    #: ``use_batched_checks`` — adaptive widening is ON for the default
-    #: batched path (soaked in PR 4, ~3x fewer check events) and off on
-    #: the fixed-period oracle; an explicit ``True`` without batched
-    #: checks raises.
-    adaptive_checks: bool | None = None
-    #: Cap on the widening (in base periods): the check interval never
-    #: exceeds ``adaptive_max_factor * suspend_check_period_s``.
-    adaptive_max_factor: int = 16
-
     def __post_init__(self) -> None:
         # All config contradictions raise here, at construction time —
         # the shared flags through the one helper HourlyConfig also
@@ -120,13 +109,6 @@ class EventConfig:
                 "expected 'shared' or 'per-vm'")
         if self.request_streams == "per-vm" and not self.use_bulk_requests:
             raise ValueError("per-vm request streams require bulk requests")
-        if self.adaptive_checks is None:
-            object.__setattr__(self, "adaptive_checks",
-                               self.use_batched_checks)
-        elif self.adaptive_checks and not self.use_batched_checks:
-            raise ValueError("adaptive check periods require batched checks")
-        if self.adaptive_max_factor < 1:
-            raise ValueError("adaptive_max_factor must be >= 1")
 
 
 @dataclass
@@ -199,12 +181,16 @@ class EventDrivenSimulation:
         self.recovered_requests = 0
         self.migrations_blocked = 0
         self._current_hour = 0
-        #: Timer wheel batching the per-host suspend checks into sweeps
-        #: (DESIGN.md §10); None = per-host event oracle path.
-        self.sweeper = (SuspendSweepScheduler(self.sim, self._sweep_due)
-                        if config.use_batched_checks else None)
-        #: Consecutive ACTIVE votes per host (adaptive check periods).
-        self._active_streak: dict[str, int] = {}
+        #: Suspend checks run only when a verdict can change, batched
+        #: into sweeps (DESIGN.md §10, §12); None = per-host event
+        #: oracle path.
+        self.sweeper = (SuspendSweepScheduler(
+            self.sim, self._sweep_due, params.suspend_check_period_s)
+            if config.use_batched_checks else None)
+        # Mid-hour placement and blocked-I/O changes re-arm the affected
+        # host's check.
+        dc.on_host_change = (self.sweeper.touch
+                             if self.sweeper is not None else None)
         self._request_streams = (PerVMRequestStreams(config.seed)
                                  if config.request_streams == "per-vm"
                                  else None)
@@ -266,8 +252,11 @@ class EventDrivenSimulation:
         start_hour, n_hours = self._horizon
         end = time_of_hour(start_hour + n_hours)
         self.sim.run_until(end)
-        # Counted heartbeats through ``end``, whose beat the drain ran.
+        # Counted heartbeats and polls through ``end``, whose instant
+        # the drain ran.
         self.waking.settle()
+        if self.sweeper is not None:
+            self.sweeper.settle(end, inclusive=True)
         self.dc.sync_meters(end)
         return self._result(n_hours, self._migrations_before)
 
@@ -297,8 +286,11 @@ class EventDrivenSimulation:
         self._current_hour = t
         # Bring the counted heartbeats up to this tick, so the telemetry
         # sampled below reads what a beat-per-event chain would
-        # (DESIGN.md §14).
+        # (DESIGN.md §14); likewise the counted suspend polls, whose
+        # checks at this instant run after the tick.
         self.waking.settle()
+        if self.sweeper is not None:
+            self.sweeper.settle(now, inclusive=False)
         binding = self._binding
         if binding is not None and not binding.current(self.dc):
             # A place/remove since the last bind (DESIGN.md §7).
@@ -389,6 +381,7 @@ class EventDrivenSimulation:
         if self.sweeper is not None:
             sample["sweeps_fired"] = self.sweeper.sweeps_fired
             sample["sweep_checks"] = self.sweeper.checks_performed
+            sample["checks_credited"] = self.sweeper.checks_credited
         return sample
 
     def _generate_hour_requests(self, now: float,
@@ -470,9 +463,6 @@ class EventDrivenSimulation:
     # ------------------------------------------------------------------
     def _schedule_check(self, host: Host, delay: float) -> None:
         if self.sweeper is not None:
-            # Fresh registration (run start / resume): any adaptive
-            # widening restarts from the base period.
-            self._active_streak.pop(host.name, None)
             self.sweeper.schedule(host, self.sim.now + delay)
             return
         old = self._check_events.pop(host.name, None)
@@ -503,37 +493,30 @@ class EventDrivenSimulation:
         """Evaluate every due host's suspend check in one pass.
 
         Per-host semantics are exactly :meth:`_suspend_check`'s, in
-        bucket insertion order (= the per-host events' FIFO order):
-        non-ON hosts are skipped silently, columnar-eligible hosts get
-        their verdict from the fleet-wide classification plus the grace
-        clock, deviating modules (heuristics, custom blacklists) fall
-        back to the scalar evaluator, and each host's decision counter
-        and follow-up actions are identical to the per-event path.
+        grid order (= the per-host events' FIFO order): non-ON hosts
+        are skipped silently, columnar-eligible hosts get their verdict
+        from the fleet-wide classification plus the grace clock,
+        deviating modules (heuristics, custom blacklists) fall back to
+        the scalar evaluator.  A host that stays up is re-armed for the
+        instant its verdict can next change: the next hour boundary,
+        or the end of its grace window if that comes first.
         """
         if not self.config.suspend_enabled:
             return
-        period = self.params.suspend_check_period_s
-        deadline = now + period
         ctx = self._host_codes()
         codes, positions = (None, None)
         if ctx is not None:
             codes, acc = ctx
             positions = acc.positions
-        # Hot loop (every ON host, every check period): locals for the
-        # per-host lookups, eager rescheduling so the wheel's insertion
-        # (and event sequence) order matches the per-host event path.
+        # Hot loop (every due host): locals for the per-host lookups,
+        # eager rescheduling so hosts keep their grid order.
         suspending = self.suspending
         schedule = self.sweeper.schedule
         on_state = PowerState.ON
         candidate = CODE_CANDIDATE
         in_grace, suspend = SuspendDecision.IN_GRACE, SuspendDecision.SUSPEND
         decision_of_code = DECISION_OF_CODE
-        adaptive = self.config.adaptive_checks
-        if adaptive:
-            active = SuspendDecision.ACTIVE
-            streaks = self._active_streak
-            max_steps = self.config.adaptive_max_factor
-            hour_end = time_of_hour(self._current_hour + 1)
+        hour_end = time_of_hour(self._current_hour + 1)
         for host in due:
             if host.state is not on_state:
                 continue  # resume path reinstates the check
@@ -556,41 +539,9 @@ class EventDrivenSimulation:
                 if verdict.should_suspend:
                     self._begin_suspend(host, verdict.waking_date_s)
                     continue
-            if adaptive:
-                schedule(host, self._adaptive_deadline(
-                    host.name, decision is active, now, period, hour_end,
-                    streaks, max_steps))
-            else:
-                schedule(host, deadline)
-
-    def _adaptive_deadline(self, name: str, voted_active: bool, now: float,
-                           period: float, hour_end: float,
-                           streaks: dict[str, int], max_steps: int) -> float:
-        """Next check deadline under adaptive widening (DESIGN.md §12).
-
-        Walks the host's fixed-period deadline grid by iterated float
-        addition — bit-exact with the oracle's ``now + period`` chain —
-        skipping up to ``2**streak - 1`` grid points but never the first
-        one at/after the next hour boundary: hour ticks are the only
-        instants activities and placement (and therefore verdicts) can
-        change, so the first post-boundary check lands exactly where the
-        fixed-period oracle's would.
-        """
-        deadline = now + period
-        if not voted_active:
-            streaks.pop(name, None)
-            return deadline
-        streak = min(streaks.get(name, 0) + 1, 30)
-        streaks[name] = streak
-        steps = min(1 << streak, max_steps)
-        k = 1
-        while k < steps:
-            nxt = deadline + period
-            if nxt >= hour_end:
-                break
-            deadline = nxt
-            k += 1
-        return deadline
+            schedule(host, min(host.grace_until, hour_end)
+                     if decision is in_grace else hour_end,
+                     module.decision_counts, decision)
 
     def _begin_suspend(self, host: Host, waking_date_s: float | None) -> None:
         # Hand the waking date to the rack's waking module first so the

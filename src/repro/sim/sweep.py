@@ -148,7 +148,6 @@ class EventParityCell:
     batched: bool
     seed: int = 7
     llmi_fraction: float = 0.5
-    adaptive_checks: bool = False
 
 
 def run_event_parity_cell(cell: EventParityCell):
@@ -167,8 +166,7 @@ def run_event_parity_cell(cell: EventParityCell):
     sim = Simulation(
         dc, "drowsy", "event",
         config=EventConfig(use_batched_checks=cell.batched,
-                           use_bulk_requests=cell.batched,
-                           adaptive_checks=cell.adaptive_checks))
+                           use_bulk_requests=cell.batched))
     t0 = time.perf_counter()
     result = sim.run(cell.hours)
     return result, time.perf_counter() - t0

@@ -41,7 +41,6 @@ the service behave like their distributed-system counterparts:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from ..cluster.events import EventSimulator
 from ..cluster.host import Host
@@ -60,32 +59,34 @@ def count_beats(start: float, period: float, until: float,
     Float addition of a fixed period is an arithmetic progression
     inside one binade: every exact sum in ``[2**e, 2**(e+1))`` rounds
     to a multiple of the same ulp by the same number of ulps.  So each
-    binade is crossed in one exact step, and only the instants next to
-    a binade edge, or where the sum is an exact tie, are added one at a
-    time.
+    binade is crossed in one exact step, counted in whole ulps with
+    integer arithmetic, and only the instants next to a binade edge, or
+    where the sum is an exact tie, are added one at a time.
     """
     count = 0
     t = start
     while t < until or (inclusive and t == until):
         steps = 0
         if t >= period > 0.0:
-            ulp = Fraction(math.ulp(t))
-            units = Fraction(period) / ulp
+            ulp = math.ulp(t)
+            units = period / ulp  # exact: ulp is a power of two
             whole = math.floor(units)
             rest = units - whole
-            if rest != Fraction(1, 2):  # a tie rounds by parity
-                step = (whole + (rest > Fraction(1, 2))) * ulp
-                here = Fraction(t)
-                # Additions whose exact sum stays inside t's binade.
-                room = (Fraction(2) ** math.frexp(t)[1] - Fraction(period)
-                        - here)
-                span = Fraction(until) - here
-                steps = min(math.ceil(room / step) if room > 0 else 0,
-                            math.floor(span / step) + 1 if inclusive
-                            else math.ceil(span / step))
+            if rest != 0.5:  # a tie rounds by parity
+                step = whole + (rest > 0.5)  # ulps added per beat
+                edge = math.ldexp(1.0, math.frexp(t)[1])
+                # Additions whose exact sum stays inside t's binade:
+                # i * step + period < edge - t, in whole ulps.
+                room = int((edge - t) / ulp) - 1 - whole
+                steps = room // step + 1 if room >= 0 else 0
+                span = until - t
+                if span < edge:  # exact: both are multiples of ulp
+                    span = int(span / ulp)
+                    steps = min(steps, span // step + 1 if inclusive
+                                else -(-span // step))
         if steps:
             count += steps
-            t = float(here + steps * step)
+            t += steps * step * ulp
         else:
             count += 1
             t += period

@@ -10,10 +10,22 @@ wake/request indexes, the columnar blocked-I/O mirror and the per-VM
 request substreams.
 """
 
+import dataclasses
+import functools
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import Host
+from repro.api import Simulation
+from repro.cluster import (
+    DataCenter,
+    Host,
+    HostCapacity,
+    PowerState,
+    ResourceSpec,
+    VM,
+)
 from repro.cluster.events import EventSimulator
 from repro.consolidation.drowsy import DrowsyController
 from repro.core.binding import FleetBinding
@@ -29,7 +41,10 @@ from repro.suspend.columnar import (
     classify_hosts,
     module_is_columnar,
 )
-from repro.suspend.module import SuspendingModule
+from repro.obs import TelemetryConfig
+from repro.suspend.module import SuspendDecision, SuspendingModule
+from repro.traces.base import ActivityTrace
+from repro.waking.failover import count_beats
 from repro.waking.packets import WoLPacket
 
 from dataclasses import fields as dataclass_fields
@@ -60,11 +75,8 @@ def _build(n_hosts=3, n_vms=9, hours=24, seed=11, **config_kw):
 
 class TestSweepParity:
     def test_batched_matches_oracle(self):
-        # adaptive_checks=False pins the pure batching mechanics; the
-        # adaptive widening (default-on since PR 5) has its own parity
-        # class below, which permits fewer check events.
         oracle, dc_o = _build(use_batched_checks=False)
-        batched, dc_b = _build(adaptive_checks=False)
+        batched, dc_b = _build()
         r_o, r_b = oracle.run(6), batched.run(6)
         assert_results_equal(r_o, r_b)
         # Decision counters and power transition histories too.
@@ -84,7 +96,7 @@ class TestSweepParity:
         """Batched scheduling with the fleet binding off: the sweep
         evaluates scalar modules but must still be bit-identical."""
         oracle, _ = _build(use_fleet_model=False, use_batched_checks=False)
-        batched, _ = _build(use_fleet_model=False, adaptive_checks=False)
+        batched, _ = _build(use_fleet_model=False)
         assert_results_equal(oracle.run(6), batched.run(6))
 
     def test_deviating_module_falls_back_scalar(self):
@@ -100,7 +112,7 @@ class TestSweepParity:
 
         oracle, dc_o = _build(use_batched_checks=False)
         attach(oracle)
-        batched, dc_b = _build(adaptive_checks=False)
+        batched, dc_b = _build()
         attach(batched)
         assert_results_equal(oracle.run(6), batched.run(6))
         # The vetoed host never suspended in either path.
@@ -108,7 +120,7 @@ class TestSweepParity:
 
     def test_repeated_runs_rearm_cleanly(self):
         oracle, _ = _build(use_batched_checks=False)
-        batched, _ = _build(adaptive_checks=False)
+        batched, _ = _build()
         for start, n in ((0, 3), (3, 2), (5, 4)):
             r_o = oracle.run(n, start_hour=start)
             r_b = batched.run(n, start_hour=start)
@@ -137,8 +149,7 @@ class TestSweepParity:
                              hours=24, seed=seed)
             sim = EventDrivenSimulation(
                 dc, DrowsyController(dc),
-                config=EventConfig(use_batched_checks=use_batched,
-                                   adaptive_checks=False))
+                config=EventConfig(use_batched_checks=use_batched))
 
             def fire(kind, target, aux):
                 hosts, vms = dc.hosts, dc.vms
@@ -249,6 +260,40 @@ class TestSuspendSweepScheduler:
         sim.run()
         assert seen == [5.0, 10.0, 15.0]
 
+
+    @pytest.mark.parametrize("queued_at, swept_at, credited",
+                             [(0.0, 10.0, 0), (5.0, 15.0, 1)])
+    def test_touch_orders_against_the_oracle_check(self, queued_at,
+                                                   swept_at, credited):
+        """A change at 10 s, a grid instant of a host last checked at
+        5 s: queued before that check, the oracle's 10 s check sees it;
+        queued after (between runs), the 10 s poll ran first and only
+        the 15 s check sees it."""
+        sim = EventSimulator()
+        counts = {"idle": 0}
+        swept = []
+        wheel = None
+
+        def sweep(now, due):
+            swept.append(now)
+            for h in due:
+                wheel.schedule(h, 100.0, counts, "idle")
+
+        wheel = SuspendSweepScheduler(sim, sweep, 5.0)
+        host = self._host("h0")
+
+        def change():
+            sim.schedule_at(10.0, wheel.touch, host)
+
+        if queued_at == 0.0:
+            change()
+        wheel.schedule(host, 5.0)
+        sim.run_until(5.0)
+        if queued_at == 5.0:
+            change()
+        sim.run_until(20.0)
+        assert swept == [5.0, swept_at]
+        assert counts["idle"] == credited
 
 # ----------------------------------------------------------------------
 # columnar verdicts
@@ -394,7 +439,7 @@ def test_events_per_second_metric_is_comparable():
     """The sweep credits coalesced checks, so events_processed — the
     events/s numerator — matches the oracle path exactly (asserted by
     parity above) while physical heap traffic shrinks."""
-    batched, _ = _build(adaptive_checks=False)
+    batched, _ = _build()
     result = batched.run(4)
     assert batched.sweeper is not None
     assert batched.sweeper.checks_performed > 0
@@ -402,51 +447,261 @@ def test_events_per_second_metric_is_comparable():
     assert result.events_processed >= batched.sweeper.checks_performed
 
 
-class TestAdaptiveCheckPeriods:
-    """Adaptive suspend-check widening (DESIGN.md §12): bit-identical
-    to the fixed-period oracle except for the check-event count."""
+# ----------------------------------------------------------------------
+# exact check scheduling: counted polls vs the fixed-period oracle
+# ----------------------------------------------------------------------
 
-    def test_requires_batched_checks(self):
-        with pytest.raises(ValueError):
-            _build(adaptive_checks=True, use_batched_checks=False)
-        with pytest.raises(ValueError):
-            _build(adaptive_checks=True, adaptive_max_factor=0)
+CAP = HostCapacity(cpus=8, memory_mb=16384, cpu_overcommit=1.0)
+FLAVOR = ResourceSpec(cpus=2, memory_mb=6144)
 
-    def test_default_follows_batched_checks(self):
-        """PR 5 flipped the default: adaptive widening is on wherever it
-        is legal (the batched path) and off on the fixed-period oracle;
-        an explicit True without batched checks stays an error."""
-        assert EventConfig().adaptive_checks is True
-        assert EventConfig(use_batched_checks=False).adaptive_checks is False
-        assert EventConfig(adaptive_checks=False).adaptive_checks is False
+
+def _trace(name, level):
+    return ActivityTrace(name, np.full(72, level))
+
+
+def _small_dc(layout, params=DEFAULT_PARAMS):
+    """Hosts ``h0..`` holding VMs of the given activity levels."""
+    hosts = [Host(f"h{i}", CAP, params) for i in range(len(layout))]
+    dc = DataCenter(hosts, params)
+    for i, levels in enumerate(layout):
+        for j, level in enumerate(levels):
+            dc.place(VM(f"v{i}{j}", _trace(f"t{i}{j}", level), FLAVOR,
+                        params=params, ip_address=f"10.8.{i}.{j + 1}"),
+                     hosts[i])
+    return dc
+
+
+def _suspends(host):
+    return [t.time for t in host.transitions
+            if t.to_state is PowerState.SUSPENDING]
+
+
+def _counts(sim):
+    return {name: dict(m.decision_counts)
+            for name, m in sim.engine.suspending.items()}
+
+
+def _run_pair(make, hours, prepare=lambda sim: None, dirty=True):
+    """Run ``make(batched)`` on the oracle and the default path; returns
+    ``(oracle, batched, results)``.  ``dirty=False`` unhooks the
+    mid-hour re-arm from the batched run."""
+    sims, results = [], []
+    for batched in (False, True):
+        sim = make(batched)
+        if not dirty and batched:
+            sim.dc.on_host_change = None
+        prepare(sim)
+        results.append(sim.run(hours))
+        sims.append(sim)
+    return sims[0], sims[1], results
+
+
+def _assert_oracle_parity(oracle, batched, results):
+    r_o, r_b = results
+    assert r_o == r_b
+    assert r_o.events_processed == r_b.events_processed
+    for h_o, h_b in zip(oracle.dc.hosts, batched.dc.hosts):
+        assert h_o.transitions == h_b.transitions, h_o.name
+    assert _counts(oracle) == _counts(batched)
+
+
+def _event_sim(dc, controller="none", params=DEFAULT_PARAMS):
+    def make(batched):
+        return Simulation(dc(), controller, "event", params=params,
+                          config=EventConfig(use_batched_checks=batched))
+    return make
+
+
+class TestExactCheckScheduling:
+    """The default path runs a suspend check only when its verdict can
+    change and counts the polls in between; it must equal the
+    fixed-period per-host oracle on every result field,
+    ``events_processed`` included, on every host's power transitions
+    and on every host's decision counters."""
 
     def test_parity_with_fixed_period_oracle(self):
-        fixed, dc_f = _build(n_hosts=4, n_vms=16, adaptive_checks=False)
-        adaptive, dc_a = _build(n_hosts=4, n_vms=16, adaptive_checks=True)
-        r_f, r_a = fixed.run(8), adaptive.run(8)
-        for field in RESULT_FIELDS:
-            if field == "events_processed":
-                continue  # the one intended difference: fewer checks
-            assert getattr(r_f, field) == getattr(r_a, field), field
-        # Power trajectories are identical to the second: every suspend
-        # fires at exactly the deadline the fixed grid would have used.
-        for h_f, h_a in zip(dc_f.hosts, dc_a.hosts):
-            assert h_f.transitions == h_a.transitions
-        assert r_a.events_processed < r_f.events_processed
+        make = _event_sim(lambda: build_fleet(
+            n_hosts=4, n_vms=16, llmi_fraction=0.5, hours=24, seed=11),
+            controller="drowsy")
+        oracle, batched, results = _run_pair(make, 8)
+        _assert_oracle_parity(oracle, batched, results)
+        sweeper = batched.engine.sweeper
+        assert sweeper.checks_performed < sweeper.checks_credited
 
-    def test_max_factor_one_degenerates_to_fixed(self):
-        fixed, _ = _build(adaptive_checks=False)
-        capped, _ = _build(adaptive_checks=True, adaptive_max_factor=1)
-        assert_results_equal(fixed.run(6), capped.run(6))
+    def test_maintenance_with_crashes_scenario(self, monkeypatch):
+        import repro.scenarios.compiler as compiler
 
-    def test_widening_keeps_grid_alignment_across_hours(self):
-        """Longer horizon with migrations and resumes mixed in."""
-        fixed, dc_f = _build(n_hosts=3, n_vms=12, adaptive_checks=False,
-                             adaptive_max_factor=16)
-        adaptive, dc_a = _build(n_hosts=3, n_vms=12, adaptive_checks=True,
-                                adaptive_max_factor=64)
-        r_f, r_a = fixed.run(12), adaptive.run(12)
-        for h_f, h_a in zip(dc_f.hosts, dc_a.hosts):
-            assert h_f.transitions == h_a.transitions
-        assert r_f.energy_kwh_by_host == r_a.energy_kwh_by_host
-        assert r_f.request_summary == r_a.request_summary
+        def make(batched):
+            monkeypatch.setattr(compiler, "EventConfig", functools.partial(
+                EventConfig, use_batched_checks=batched))
+            return Simulation.from_scenario(
+                "maintenance-with-crashes", seed=7, backend="event",
+                hours=24)
+        oracle, batched, results = _run_pair(make, 24)
+        _assert_oracle_parity(oracle, batched, results)
+        # The day drains hosts and fails resumes: mid-hour placement
+        # changes that a waiting check must see.
+        assert batched.churn.vms_evacuated > 0
+        assert batched.engine.failover_migrations > 0
+
+    def test_evacuation_onto_empty_host_mid_hour(self):
+        """An idle VM evacuated at 1800 s onto a host that voted EMPTY:
+        the oracle suspends that host at its 1800 s check.  Without the
+        re-arm the batched path would wait for the hour boundary."""
+        make = _event_sim(lambda: _small_dc([[], [0.0], [0.5]]))
+
+        def prepare(sim):
+            dc = sim.dc
+            sim.engine.sim.schedule_at(
+                1800.0, lambda: dc.evacuate(dc.hosts[1], 1800.0,
+                                            targets=[dc.hosts[0]]))
+
+        oracle, batched, results = _run_pair(make, 2, prepare)
+        _assert_oracle_parity(oracle, batched, results)
+        assert _suspends(batched.dc.hosts[0])[0] == 1800.0
+        stale, unhooked, stale_results = _run_pair(make, 2, prepare,
+                                                   dirty=False)
+        assert _suspends(unhooked.dc.hosts[0])[0] == 3600.0
+        assert _counts(stale) != _counts(unhooked)
+
+    def test_blocked_io_toggled_mid_hour(self):
+        """Blocked I/O vetoes an idle host's suspend until an event at
+        1800 s clears it; the host suspends at that very check."""
+        make = _event_sim(lambda: _small_dc([[0.0], [0.5]]))
+
+        def prepare(sim):
+            vm = sim.dc.hosts[0].vms[0]
+            at = sim.engine.sim.schedule_at
+            at(1.0, setattr, vm, "blocked_io", True)
+            at(1800.0, setattr, vm, "blocked_io", False)
+
+        oracle, batched, results = _run_pair(make, 2, prepare)
+        _assert_oracle_parity(oracle, batched, results)
+        assert _suspends(batched.dc.hosts[0])[0] == 1800.0
+        counts = batched.engine.suspending["h0"].decision_counts
+        assert counts[SuspendDecision.BLOCKED_IO] == 1800.0 / 5.0 - 1
+
+    def test_grace_window_expires_mid_hour(self):
+        """A host woken at 1000.3 s votes IN_GRACE until its window ends
+        mid-hour, then suspends on the first grid point after it."""
+        params = dataclasses.replace(DEFAULT_PARAMS, grace_min_s=60.0)
+        make = _event_sim(lambda: _small_dc([[0.0], [0.5]], params),
+                          params=params)
+
+        def prepare(sim):
+            engine = sim.engine
+            engine.sim.schedule_at(
+                1000.3, lambda: engine._on_wol(WoLPacket(
+                    sim.dc.hosts[0].mac_address, reason="test"),
+                    engine.sim.now))
+
+        oracle, batched, results = _run_pair(make, 2, prepare)
+        _assert_oracle_parity(oracle, batched, results)
+        host = batched.dc.hosts[0]
+        awake = [t.time for t in host.transitions
+                 if t.to_state is PowerState.ON][-1]
+        grid_point = count_beats(awake + 5.0, 5.0, host.grace_until,
+                                 False)[1]
+        assert awake + 5.0 < host.grace_until < 3600.0
+        assert _suspends(host)[1] == grid_point
+        assert (batched.engine.suspending["h0"].decision_counts[
+            SuspendDecision.IN_GRACE] > 0)
+
+    def test_same_instant_checks_keep_oracle_order(self):
+        """Two hosts whose VMs share an IP suspend in the same sweep;
+        the later registration owns the IP, so the sweep order decides
+        which host a request wakes.  A mid-hour re-arm makes ``h0``
+        register for the 3600 s sweep after ``h1``; it must still be
+        swept first, as in the oracle."""
+        levels = np.full(72, 0.5)
+        levels[1] = 0.0  # both hosts idle in hour 1 only
+
+        def dc():
+            hosts = [Host(f"h{i}", CAP) for i in range(2)]
+            dc = DataCenter(hosts)
+            for i, host in enumerate(hosts):
+                dc.place(VM(f"v{i}", ActivityTrace(f"t{i}", levels), FLAVOR,
+                            ip_address="10.8.0.1"), host)
+            return dc
+
+        def prepare(sim):
+            vm = sim.dc.hosts[0].vms[0]
+            at = sim.engine.sim.schedule_at
+            at(1000.0, setattr, vm, "blocked_io", True)
+            at(2000.0, setattr, vm, "blocked_io", False)
+            waking = sim.engine.waking
+            at(3601.0, lambda: owner.append(
+                waking.active.state.vm_to_mac["10.8.0.1"]))
+
+        owner: list[str] = []
+        oracle, batched, results = _run_pair(_event_sim(dc), 3, prepare)
+        _assert_oracle_parity(oracle, batched, results)
+        assert [_suspends(h)[0] for h in batched.dc.hosts] == [3600.0] * 2
+        assert owner == [batched.dc.hosts[1].mac_address] * 2
+
+    def test_recovered_host_joins_in_front_of_its_grid(self):
+        """A host recovering at 3600 s joins the grid the other host is
+        checked on; its recovery was queued long before that grid's
+        3600 s check, so from then on it is swept first.  Both suspend
+        at 7200 s and the second registration owns their shared IP."""
+        busy = np.full(72, 0.5)
+        busy[2] = 0.0  # both hosts idle in hour 2
+        asleep_first = busy.copy()
+        asleep_first[0] = 0.0  # h0 also idle in hour 0
+
+        def dc():
+            hosts = [Host(f"h{i}", CAP) for i in range(2)]
+            dc = DataCenter(hosts)
+            for i, levels in enumerate((asleep_first, busy)):
+                dc.place(VM(f"v{i}", ActivityTrace(f"t{i}", levels), FLAVOR,
+                            ip_address="10.8.0.1"), hosts[i])
+            return dc
+
+        def prepare(sim):
+            engine = sim.engine
+            at = engine.sim.schedule_at
+            at(10.0, engine.crash_host, sim.dc.hosts[0], 3590.0)
+            at(7201.0, lambda: owner.append(
+                engine.waking.active.state.vm_to_mac["10.8.0.1"]))
+
+        owner: list[str] = []
+        oracle, batched, results = _run_pair(_event_sim(dc), 3, prepare)
+        _assert_oracle_parity(oracle, batched, results)
+        assert [_suspends(h)[-1] for h in batched.dc.hosts] == [7200.0] * 2
+        assert owner == [batched.dc.hosts[1].mac_address] * 2
+
+    def test_busy_host_checked_once_per_hour(self):
+        """An always-busy host is evaluated once after joining and then
+        once per hour boundary; every other poll is counted."""
+        make = _event_sim(lambda: _small_dc([[0.5]]))
+        oracle, batched, results = _run_pair(make, 4)
+        _assert_oracle_parity(oracle, batched, results)
+        assert batched.engine.sweeper.checks_performed <= 1 + 4
+        active = batched.engine.suspending["h0"].decision_counts[
+            SuspendDecision.ACTIVE]
+        assert active == 4 * 3600 / 5.0
+
+    def test_telemetry_checks_add_up_to_oracle(self):
+        """``sweep_checks`` (evaluations run) plus ``checks_credited``
+        (polls counted) is the oracle's number of check events."""
+        def fleet():
+            return build_fleet(n_hosts=4, n_vms=16, llmi_fraction=0.5,
+                               hours=24, seed=11)
+
+        oracle = Simulation(fleet(), "drowsy", "event",
+                            config=EventConfig(use_batched_checks=False))
+        engine, checks = oracle.engine, []
+        check = engine._suspend_check
+
+        def counted(host):
+            checks.append(host.name)
+            check(host)
+
+        engine._suspend_check = counted
+        oracle.run(6)
+        batched = Simulation(fleet(), "drowsy", "event",
+                             telemetry=TelemetryConfig(metrics=True))
+        totals = batched.run(6).telemetry.totals
+        assert totals["sweep_checks"] < totals["checks_credited"]
+        assert (totals["sweep_checks"] + totals["checks_credited"]
+                == len(checks))

@@ -100,32 +100,16 @@ class TestSuspendDynamics:
 
     def test_check_period_respected_while_active(self):
         trace = ActivityTrace("busy", np.full(72, 0.5))
-        # Fixed-period contract: one evaluation per check period.  The
-        # default adaptively *widens* the period on ACTIVE streaks
-        # (~15x fewer checks here), so pin it off.
+        # Fixed-period contract: one evaluation per check period, run
+        # or counted.
         sim, dc, host, vm = single_host_sim(
-            trace=trace, config=EventConfig(seed=3, adaptive_checks=False))
+            trace=trace, config=EventConfig(seed=3))
         sim.run(2)
         # Active host: evaluations happen but no suspend.
         module = sim.suspending["h0"]
         from repro.suspend.module import SuspendDecision
 
         assert module.decision_counts[SuspendDecision.ACTIVE] > 100
-        assert host.suspend_count == 0
-
-    def test_adaptive_default_widens_active_checks(self):
-        """The flip side: with the default (adaptive) config the same
-        always-busy host is checked far less often, and still never
-        suspends."""
-        from repro.suspend.module import SuspendDecision
-
-        trace = ActivityTrace("busy", np.full(72, 0.5))
-        sim, dc, host, vm = single_host_sim(trace=trace)
-        assert sim.config.adaptive_checks is True
-        sim.run(2)
-        module = sim.suspending["h0"]
-        active = module.decision_counts[SuspendDecision.ACTIVE]
-        assert 0 < active < 2 * 3600 / DEFAULT_PARAMS.suspend_check_period_s / 4
         assert host.suspend_count == 0
 
     def test_grace_prevents_immediate_resuspend(self):

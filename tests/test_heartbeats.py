@@ -5,7 +5,8 @@ counted, not run: no beat event goes on the heap until the primary is
 killed.  The failover cases below pin every observable — failovers,
 the promotion instant, the wakes the promotion re-arms, ``beats``,
 ``events_processed`` and the per-hour telemetry series — to the values
-recorded from a simulator that ran one event per beat.
+recorded from a simulator that ran one event per beat and one per
+suspend poll.
 """
 
 from __future__ import annotations
@@ -77,15 +78,15 @@ class TestFailoverEquivalence:
         got = observables(sim, sim.run(24))
         assert seen == {"at": 43202.0, "restored": []}
         assert got == dict(
-            failovers=1, beats=43202, events=52050,
+            failovers=1, beats=43202, events=94485,
             beats_series=(0, 3599, 7199, 10799, 14399, 17999, 21599, 25199,
                           28799, 32399, 35999, 39599, 43199, 43202, 43202,
                           43202, 43202, 43202, 43202, 43202, 43202, 43202,
                           43202, 43202),
-            events_series=(1, 3915, 7840, 11691, 15532, 19405, 23306, 27215,
-                           31223, 35178, 39257, 43348, 47506, 47994, 48419,
-                           48852, 49279, 49722, 50073, 50462, 50858, 51262,
-                           51561, 51810))
+            events_series=(1, 6599, 13220, 18419, 23608, 28829, 34078, 39335,
+                           45362, 50665, 57434, 64221, 71075, 74259, 76032,
+                           77813, 79588, 81379, 83078, 84815, 87230, 89653,
+                           91300, 92897))
 
     def test_off_grid_kill_rearms_window_wake(self):
         sim = make_sim()
@@ -99,10 +100,10 @@ class TestFailoverEquivalence:
         assert seen == {"at": 1003.0,
                         "restored": [("52:54:00:c1:d3:e8", 4999.0)]}
         assert got == dict(
-            failovers=1, beats=1003, events=5313,
+            failovers=1, beats=1003, events=28882,
             beats_series=(0,) + (1003,) * 11,
-            events_series=(1, 1321, 1647, 1898, 2139, 2412, 2713, 3022,
-                           3430, 3785, 4264, 4755))
+            events_series=(1, 4005, 7027, 8626, 10215, 11836, 13485, 15142,
+                           17569, 19272, 22441, 25628))
 
     def test_kill_between_runs_at_hour_boundary(self):
         """The beat at the boundary ran before the first run returned,
@@ -112,18 +113,18 @@ class TestFailoverEquivalence:
         seen = watch_promotion(service)
         first = observables(sim, sim.run(6))
         assert first == dict(
-            failovers=0, beats=21600, events=23308,
+            failovers=0, beats=21600, events=34080,
             beats_series=(0, 3599, 7199, 10799, 14399, 17999),
-            events_series=(1, 3915, 7840, 11691, 15532, 19405))
+            events_series=(1, 6599, 13220, 18419, 23608, 28829))
         service.fail_primary()
         got = observables(sim, sim.run(6, start_hour=6))
         assert seen == {"at": 21603.0, "restored": []}
         assert got == dict(
-            failovers=1, beats=21603, events=25918,
+            failovers=1, beats=21603, events=49481,
             beats_series=(0, 3599, 7199, 10799, 14399, 17999, 21600, 21603,
                           21603, 21603, 21603, 21603),
-            events_series=(1, 3915, 7840, 11691, 15532, 19405, 23309, 23627,
-                           24035, 24390, 24869, 25360))
+            events_series=(1, 6599, 13220, 18419, 23608, 28829, 34081, 35741,
+                           38168, 39871, 43040, 46227))
 
     def test_mirror_killed_inside_window(self):
         sim = make_sim()
@@ -134,10 +135,10 @@ class TestFailoverEquivalence:
         got = observables(sim, sim.run(H))
         assert seen == {}
         assert got == dict(
-            failovers=0, beats=1003, events=5312,
+            failovers=0, beats=1003, events=28881,
             beats_series=(0,) + (1003,) * 11,
-            events_series=(1, 1321, 1646, 1897, 2138, 2411, 2712, 3021,
-                           3429, 3784, 4263, 4754))
+            events_series=(1, 4005, 7026, 8625, 10214, 11835, 13484, 15141,
+                           17568, 19271, 22440, 25627))
 
     def test_checkpoint_inside_window_resumes(self, tmp_path):
         sim = make_sim(checkpoint=CheckpointPolicy(dir=str(tmp_path),
@@ -152,7 +153,7 @@ class TestFailoverEquivalence:
            sim.dc.hosts[2], 32000.0)
         base = sim.run(H)
         assert observables(sim, base) == dict(failovers=1, beats=21601,
-                                              events=25920)
+                                              events=49489)
         (info,) = list_checkpoints(tmp_path)
         assert info.meta["hour"] == 6
         resumed = Simulation.resume(info.path)
@@ -168,7 +169,7 @@ class TestFailoverEquivalence:
                         "restored": [("52:54:00:8d:e4:8d", 29999.0),
                                      ("52:54:00:a6:8e:10", 31999.0)]}
         assert observables(resumed, result) == dict(
-            failovers=1, beats=21601, events=25920)
+            failovers=1, beats=21601, events=49489)
 
 
 class TestCountedBeats:

@@ -123,6 +123,37 @@ class TestCheckpointResume:
         for path in sorted(tmp_path.glob("*.ckpt")):
             assert Simulation.resume(path).run() == base
 
+    def test_resume_between_real_suspend_checks(self, tmp_path):
+        """A checkpoint taken while hosts wait between two real suspend
+        checks (their skipped polls counted, not run) resumes to the
+        same result, decision counters and ``events_processed``."""
+        def counts(sim):
+            return {name: dict(m.decision_counts)
+                    for name, m in sim.engine.suspending.items()}
+
+        plain = Simulation(small_fleet(), "drowsy", "event", seed=3)
+        base = plain.run(H)
+        sim = Simulation(small_fleet(), "drowsy", "event", seed=3,
+                         checkpoint=CheckpointPolicy(dir=str(tmp_path),
+                                                     every_h=3))
+        assert sim.run(H) == base
+        path = sorted(tmp_path.glob("*.ckpt"))[0]
+        resumed = Simulation.resume(path)
+        engine = resumed.engine
+        now = engine.sim.now
+        assert 0.0 < now < H * 3600.0
+        # Some host was last really checked an hour or more before the
+        # checkpoint, and its next real check runs after the tick that
+        # wrote it.
+        waiting = [reg for reg in engine.sweeper._member.values()
+                   if reg.counts is not None
+                   and reg.first < now - 3000.0 and reg.deadline >= now]
+        assert waiting
+        result = resumed.run()
+        assert result == base
+        assert result.events_processed == base.events_processed
+        assert counts(resumed) == counts(plain)
+
     def test_resume_directory_picks_most_advanced(self, tmp_path):
         sim = Simulation(small_fleet(), "drowsy", "hourly", seed=3,
                          checkpoint=CheckpointPolicy(dir=str(tmp_path),
@@ -204,24 +235,37 @@ class TestCheckpointFiles:
     def test_v1_checkpoint_refused(self, tmp_path):
         """v1 pickled hosts with a writable ``vms`` list; this build's
         hosts are read-only to everything but the DataCenter."""
-        assert CHECKPOINT_VERSION == 3
+        assert CHECKPOINT_VERSION == 4
         path = self._one_checkpoint(tmp_path)
         wrapper = pickle.loads(path.read_bytes())
         wrapper["version"] = 1
         path.write_bytes(pickle.dumps(wrapper))
-        with pytest.raises(CheckpointError, match="format 1; this build reads 3"):
+        with pytest.raises(CheckpointError, match="format 1; this build reads 4"):
             Checkpoint.load(path)
 
     def test_v2_checkpoint_refused(self, tmp_path):
         """v2 pickled a waking service with a queued heartbeat chain;
         this build counts healthy beats, so restoring that chain would
         count every beat twice."""
-        assert CHECKPOINT_VERSION == 3
+        assert CHECKPOINT_VERSION == 4
         path = self._one_checkpoint(tmp_path)
         wrapper = pickle.loads(path.read_bytes())
         wrapper["version"] = 2
         path.write_bytes(pickle.dumps(wrapper))
-        with pytest.raises(CheckpointError, match="format 2; this build reads 3"):
+        with pytest.raises(CheckpointError, match="format 2; this build reads 4"):
+            Checkpoint.load(path)
+
+    def test_v3_checkpoint_refused(self, tmp_path):
+        """v3 pickled suspend checks that widened while a host voted
+        ACTIVE, with no skipped polls on record; this build counts every
+        skipped poll, so resuming one would undercount the decision
+        counters and ``events_processed``."""
+        assert CHECKPOINT_VERSION == 4
+        path = self._one_checkpoint(tmp_path)
+        wrapper = pickle.loads(path.read_bytes())
+        wrapper["version"] = 3
+        path.write_bytes(pickle.dumps(wrapper))
+        with pytest.raises(CheckpointError, match="format 3; this build reads 4"):
             Checkpoint.load(path)
 
     def test_corrupt_payload_fails_digest(self, tmp_path):
